@@ -23,7 +23,7 @@ from sympy.ntheory.residue_ntheory import n_order
 
 from . import formulas
 from .gf import embed_codes, make_field
-from .mlgroup import Subgroup, closure, ml_context
+from .mlgroup import DetPreimage, Subgroup, closure, ml_context
 
 # Explicit subgroups (and with them the brute-force oracle) stay feasible
 # up to this field size; past it only closed-form data is available.
@@ -278,11 +278,7 @@ def _torus_power(ctx, order):
 
 def _neg_norm_rep(ctx):
     """Smallest c with c^(q+1) = -1; (0, c, tau) then swaps the chord points."""
-    F = ctx.F
-    fiber = ctx.norm_fiber.get(F.neg(1))
-    if not fiber:
-        raise RecipeError("the norm -1 has no preimage")
-    return min(fiber)
+    return min(c for a, c, _ in ctx.s_ell if a == 0)
 
 
 def _unit_index(ctx):
@@ -393,19 +389,12 @@ def _make_sl2_subfield(ctx, k, w, label="sl2_subfield"):
 def _s_ell_center_product(ctx, w, with_beta, label):
     """S_ell times the central C_w, optionally extended by the chord involution."""
     ctx._ensure_structure()
-    reps = [ctx.identity]
-    if w > 1:
-        zw = _center_gen(ctx, w)
-        for _ in range(w - 1):
-            reps.append(ctx.compose(reps[-1], zw))
-    if with_beta:
-        reps = reps + [ctx.compose(ctx.beta, r) for r in reps]
     gens = list(ctx.s_ell_gens)
     if w > 1:
         gens.append(_center_gen(ctx, w))
     if with_beta:
         gens.append(ctx.beta)
-    return Subgroup.from_coset_product(ctx, ctx.s_ell_set, reps, gens, label=label)
+    return DetPreimage(ctx, gens, label=label)
 
 
 def _make_sl2_two(ctx, w):
@@ -423,7 +412,9 @@ def _chord_swap(ctx, square, conj_src, conj_dst):
     raise RecipeError("no chord swap satisfies the required relations")
 
 
-def _make_dihedral_even(ctx, t, w):
+def _make_dihedral(ctx, w, t=None, d=None):
+    """Dihedral group with rotation order t (q even) or d (q odd), times C_w."""
+    t = t or d
     rot = _torus_power(ctx, t)
     refl = _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))
     gens = [rot, refl]
@@ -464,27 +455,16 @@ def _make_triangle_even(ctx, t, w):
 
 def _make_torus_cyclic(ctx, e):
     g0 = _torus_power(ctx, e)
-    els = [ctx.identity]
-    for _ in range(e - 1):
-        els.append(ctx.compose(els[-1], g0))
-    if len(set(els)) != e:
-        raise RecipeError("torus powers collide")
-    frozen = frozenset(els)
-    return Subgroup(ctx, [g0], e, elements=sorted(els), contains=frozen.__contains__,
-                    label="torus_cyclic")
+    return Subgroup(ctx, [g0], ctx.cyclic_group(g0), label="torus_cyclic")
 
 
 def _make_diagonal(ctx, d, e, a):
     n = ctx.q + 1
     pairs = _a1_pairs(n, d, e, a)
-    els = sorted(_a1_element(ctx, i, j) for (i, j) in pairs)
-    if len(set(els)) != d * e:
-        raise RecipeError("diagonal elements collide")
+    els = [_a1_element(ctx, i, j) for (i, j) in pairs]
     gens = [g for g in (_a1_element(ctx, n // d, 0), _a1_element(ctx, a, n // e))
             if g != ctx.identity]
-    frozen = frozenset(els)
-    return Subgroup(ctx, gens, d * e, elements=els, contains=frozen.__contains__,
-                    label="diagonal")
+    return Subgroup(ctx, gens, els, label="diagonal")
 
 
 def _make_triangle_swap(ctx, d, e, a, t):
@@ -612,15 +592,6 @@ def _make_dicyclic(ctx, d, w):
     return _closure_build(ctx, gens, 4 * d * w, "dicyclic")
 
 
-def _make_dihedral_odd(ctx, d, w):
-    rot = _torus_power(ctx, d)
-    refl = _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))
-    gens = [rot, refl]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    return _closure_build(ctx, gens, 2 * d * w, "dihedral")
-
-
 def _make_hat_dicyclic(ctx, d, w):
     alpha = _torus_power(ctx, 4 * d)
     xi = _chord_swap(ctx, ctx.power(alpha, 2 * d), alpha, ctx.power(alpha, 2 * d - 1))
@@ -653,30 +624,26 @@ def _make_unitary_pm(ctx, k, w):
 
 
 _BUILDERS = {
-    "elementary_abelian": lambda ctx, f, w: _make_elementary_abelian(ctx, f, w),
-    "sl2_two": lambda ctx, w: _make_sl2_two(ctx, w),
-    "sl2_subfield": lambda ctx, k, w: _make_sl2_subfield(ctx, k, w),
-    "dihedral": lambda ctx, **P: (
-        _make_dihedral_even(ctx, P["t"], P["w"])
-        if ctx.p == 2
-        else _make_dihedral_odd(ctx, P["d"], P["w"])
-    ),
-    "alt5": lambda ctx, w: _make_alt5(ctx, w),
-    "alt4": lambda ctx, w: _make_alt4(ctx, w),
-    "elation_semidirect": lambda ctx, f, d, w: _make_elation_semidirect(ctx, f, d, w),
-    "triangle": lambda ctx, t, w: _make_triangle_even(ctx, t, w),
-    "torus_cyclic": lambda ctx, e: _make_torus_cyclic(ctx, e),
-    "diagonal": lambda ctx, d, e, a: _make_diagonal(ctx, d, e, a),
-    "triangle_swap": lambda ctx, d, e, a, t: _make_triangle_swap(ctx, d, e, a, t),
-    "point_stabilizer": lambda ctx, mu, u: _make_point_stabilizer(ctx, mu, u),
-    "sl2_three": lambda ctx, w: _make_sl2_three(ctx, w),
-    "binary_octahedral": lambda ctx, w: _make_binary_octahedral(ctx, w),
-    "gl2_three": lambda ctx, w: _make_gl2_three(ctx, w),
-    "sl2_five": lambda ctx, w: _make_sl2_five(ctx, w),
-    "dicyclic": lambda ctx, d, w: _make_dicyclic(ctx, d, w),
-    "hat_dicyclic": lambda ctx, d, w: _make_hat_dicyclic(ctx, d, w),
-    "sl2_split_ext": lambda ctx, k, w: _make_sl2_split_ext(ctx, k, w),
-    "unitary_pm": lambda ctx, k, w: _make_unitary_pm(ctx, k, w),
+    "elementary_abelian": _make_elementary_abelian,
+    "sl2_two": _make_sl2_two,
+    "sl2_subfield": _make_sl2_subfield,
+    "dihedral": _make_dihedral,
+    "alt5": _make_alt5,
+    "alt4": _make_alt4,
+    "elation_semidirect": _make_elation_semidirect,
+    "triangle": _make_triangle_even,
+    "torus_cyclic": _make_torus_cyclic,
+    "diagonal": _make_diagonal,
+    "triangle_swap": _make_triangle_swap,
+    "point_stabilizer": _make_point_stabilizer,
+    "sl2_three": _make_sl2_three,
+    "binary_octahedral": _make_binary_octahedral,
+    "gl2_three": _make_gl2_three,
+    "sl2_five": _make_sl2_five,
+    "dicyclic": _make_dicyclic,
+    "hat_dicyclic": _make_hat_dicyclic,
+    "sl2_split_ext": _make_sl2_split_ext,
+    "unitary_pm": _make_unitary_pm,
 }
 
 

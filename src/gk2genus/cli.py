@@ -22,6 +22,7 @@ from .engine import (
     MismatchError,
     check_table,
     classify_elements,
+    row_passed,
     spectrum,
     verify_all,
 )
@@ -157,10 +158,6 @@ def _run_table(ns):
     return 0 if ok else 1
 
 
-def _row_ok(row):
-    return "error" not in row and not any(v is False for v in row.values())
-
-
 def _run_verify(ns):
     rep = verify_all(ns.q)
     ok = rep.get("passed", False)
@@ -169,14 +166,14 @@ def _run_verify(ns):
     elif ns.format == "csv":
         rows = [("instance", "passed")]
         for row in rep.get("checks", []):
-            rows.append((row["instance"], _row_ok(row)))
+            rows.append((row["instance"], row_passed(row)))
         text = _csv_rows(rows)
     else:
         lines = ["verify q=%d: %s" % (ns.q, "PASS" if ok else "FAIL")]
         if rep.get("rejected"):
             lines.append("rejected: %s" % rep.get("reason", ""))
         for row in rep.get("checks", []):
-            if ns.verbose or not _row_ok(row):
+            if ns.verbose or not row_passed(row):
                 flags = ",".join(
                     "%s=%s" % (k, v)
                     for k, v in row.items()
@@ -185,6 +182,8 @@ def _run_verify(ns):
                 lines.append("  %-40s %s" % (row["instance"], flags))
         text = "\n".join(lines)
     _emit(text, ns.output)
+    if rep.get("rejected"):
+        return 2
     return 0 if ok else 1
 
 
@@ -254,7 +253,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _DISPATCH[ns.command](ns)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MismatchError as exc:

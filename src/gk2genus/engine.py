@@ -281,6 +281,11 @@ def _burnside_orbits(sub):
     return None if rem else quo
 
 
+def row_passed(row):
+    """Verdict of one verify_all row: no error and no failed check."""
+    return "error" not in row and not any(v is False for v in row.values())
+
+
 def verify_all(q):
     """Re-run every per-instance certification at one q; never raises.
 
@@ -334,8 +339,7 @@ def verify_all(q):
                 row["tail_ok"] = sub.z1_intersection_order() == w
         except Exception as exc:  # noqa: BLE001 - aggregated, not raised
             row["error"] = "%s: %s" % (type(exc).__name__, exc)
-        bad = any(v is False for v in row.values()) or "error" in row
-        if bad:
+        if not row_passed(row):
             failures += 1
         checks.append(row)
     report.update(

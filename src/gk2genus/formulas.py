@@ -133,13 +133,7 @@ def admissible_cm_orders(q, n, s):
     full completeness guarantee.
     """
     m = m_of(q, n)
-    _check_divisor(s, q + 1, "s")
-    big = q**n + 1
-    out = []
-    for t in sorted(int(d) for d in divisors(m)):
-        if big % (s * t) == 0 and gcd(s * t, m) == t:
-            out.append(t)
-    return out
+    return [t for t in candidate_cm_orders(q, n, s) if gcd(s * t, m) == t]
 
 
 def candidate_cm_orders(q, n, s):
@@ -493,22 +487,26 @@ def sl2_two_orbit_count_rejected(q, w):
 
 # Rejected near-miss expressions, retained so tests can demonstrate that
 # they contradict the brute-force orbit counts.  Each entry records the
-# family, the adopted form, and a witness where the variants disagree.
+# closed form, the catalog family it serves, the adopted form, and a witness
+# (q and the instance parameters) where the variants disagree.
 ERRATA = {
     "sl2_two_orbit_count": {
         "family": "sl2_two_quotient, branch h odd with 3 | w",
+        "catalog_family": "sl2_two",
         "adopted": "middle orbit term (q + 1)(q^2 - q - 2) / (6 w)",
         "rejected": "middle orbit term (q + 1)(q^2 - q - 2) / w",
         "witness": {"q": 8, "w": 9, "adopted_n": 12, "rejected_n": 57},
     },
     "unitary_pm_orbit_count": {
         "family": "unitary_pm_quotient",
+        "catalog_family": "unitary_pm",
         "adopted": "fixed-set orbit term (q + 1) gcd(p^k + 1, w) / ((p^k + 1) w)",
         "rejected": "fixed-set orbit term (q + 1) gcd(p^k + 1, w) / w",
         "witness": {"q": 9, "k": 2, "w": 1, "adopted_n": 2, "rejected_n": 11},
     },
     "sl2_five_orbit_count": {
         "family": "sl2_five_quotient_char3, branches with 5 not dividing w",
+        "catalog_family": "sl2_five",
         "adopted": "long orbit term (q^3 - q) / (120 w)",
         "rejected": "long orbit term (q^3 - q) / (15 w)",
         "witness": {"q": 9, "w": 1, "adopted_n": 7, "rejected_n": 49},

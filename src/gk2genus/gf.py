@@ -447,7 +447,8 @@ def roots_of_unity(ctx, d):
 
 
 @lru_cache(maxsize=None)
-def _embed_codes(sub, sup):
+def embed_codes(sub, sup):
+    """Code-level embedding table GF(p^j) -> GF(p^k), cached."""
     if sub.p != sup.p:
         raise ValueError("characteristics differ")
     if sup.k % sub.k:
@@ -492,10 +493,5 @@ def _embed_codes(sub, sup):
 
 def embed(elt, sup):
     """Embed an FFElem into the bigger field sup along the canonical root."""
-    table = _embed_codes(elt.ctx, sup)
+    table = embed_codes(elt.ctx, sup)
     return FFElem(sup, table[elt.code])
-
-
-def embed_codes(sub, sup):
-    """Code-level embedding table GF(p^j) -> GF(p^k), cached."""
-    return _embed_codes(sub, sup)

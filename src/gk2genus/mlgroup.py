@@ -71,12 +71,9 @@ class MlContext:
     """Everything needed to compute inside M_ell for one prime power q."""
 
     def __init__(self, q):
-        fact = factorint(q)
-        if len(fact) != 1:
-            raise ValueError("q must be a prime power")
-        ((self.p, self.h),) = fact.items()
         self.q = q
         self.pts = hermitian_points(q)
+        self.p, self.h = self.pts.p, self.pts.h
         self.F = F = self.pts.F
         self.card = F.card
         self.mu = [e.code for e in roots_of_unity(F, q + 1)]
@@ -85,11 +82,9 @@ class MlContext:
         self.identity = (1, 0, 1)
         self.frobq = [F.pow(cde, q) for cde in range(F.card)]
         self.order = (q**3 - q) * (q + 1)
-        # norm fibers: norm_fiber[v] = all c with c^(q+1) = v
-        fib = {}
-        for cde in range(F.card):
-            fib.setdefault(F.pow(cde, q + 1), []).append(cde)
-        self.norm_fiber = fib
+        # S_ell = the determinant-1 part, isomorphic to SL(2,q): (a, c, 1) with
+        # a^(q+1) - c^(q+1) = 1, which are exactly the affine curve points (x, y, 1)
+        self.s_ell = self.pts.points[self.pts.chord_count:]
         self._np_ready = False
         self._order_cache = {}
         self._structure_ready = False
@@ -166,14 +161,20 @@ class MlContext:
             z,
         )
 
+    def cyclic_group(self, g):
+        """The powers identity, g, g^2, ... of g, up to its order."""
+        out = [self.identity]
+        h = g
+        while h != self.identity:
+            out.append(h)
+            h = self.compose(h, g)
+        return out
+
     def iter_elements(self):
         """All of M_ell, lazily, in deterministic order."""
-        F = self.F
-        for a in range(F.card):
-            va = F.sub(F.pow(a, self.q + 1), 1)
-            for c in self.norm_fiber.get(va, ()):
-                for t in self.mu:
-                    yield (a, c, t)
+        for a, c, _ in self.s_ell:
+            for t in self.mu:
+                yield (a, c, t)
 
     # -- vectorized plumbing --------------------------------------------------
 
@@ -336,35 +337,16 @@ class MlContext:
         self.R1 = self.pts.points[1]
         # center Z: homologies fixing the chord pointwise
         self.z_gen = (self.eps, 0, F.mul(self.eps, self.eps))
-        z_els = [self.identity]
-        g = self.z_gen
-        while g != self.identity:
-            z_els.append(g)
-            g = self.compose(g, self.z_gen)
-        self.z_elements = z_els
-        self.z_set = frozenset(z_els)
+        self.z_elements = self.cyclic_group(self.z_gen)
         if self.p != 2:
             self.beta = (F.neg(1), 0, F.neg(1))
             self.z1_gen = self.compose(self.z_gen, self.z_gen)
-            z1 = [self.identity]
-            g = self.z1_gen
-            while g != self.identity:
-                z1.append(g)
-                g = self.compose(g, self.z1_gen)
-            self.z1_elements = z1
-            self.z1_set = frozenset(z1)
+            self.z1_elements = self.cyclic_group(self.z1_gen)
         else:
             self.beta = None
             self.z1_gen = self.z_gen
-            self.z1_elements = z_els
-            self.z1_set = self.z_set
-        # S_ell = the determinant-1 part, isomorphic to SL(2,q)
-        s_ell = []
-        for a in range(F.card):
-            va = F.sub(F.pow(a, q + 1), 1)
-            for c in self.norm_fiber.get(va, ()):
-                s_ell.append((a, c, 1))
-        self.s_ell = s_ell
+            self.z1_elements = self.z_elements
+        s_ell = self.s_ell
         self.s_ell_set = frozenset(s_ell)
         # stabilizer scans over all of M_ell, vectorized per determinant value
         self._ensure_np()
@@ -397,7 +379,6 @@ class MlContext:
         if len(stab0_sl) != q * (q - 1):
             raise AssertionError("unexpected Borel size in S_ell")
         self.torus = torus
-        self.torus_set = frozenset(torus)
         self.wcoset = wcoset
         self.torus_gen = next(g for g in torus if self.order_of(g) == q * q - 1)
         # elation group at R0: identity plus the order-p elements of the stabilizer
@@ -405,7 +386,6 @@ class MlContext:
         if len(e_q) != q - 1:
             raise AssertionError("elation group has wrong size")
         self.e_q = [self.identity] + sorted(e_q)
-        self.e_q_set = frozenset(self.e_q)
         # generators of S_ell from opposite elation groups; a pair of
         # involutions is only dihedral, so even q > 2 needs the full E_q side
         e_r1 = sorted(self._elations_at(self.R1))
@@ -452,82 +432,25 @@ def ml_context(q):
     return MlContext(q)
 
 
-# module-level aliases matching the operation contract
-def ml_compose(ctx, g1, g2):
-    return ctx.compose(g1, g2)
-
-
-def ml_inverse(ctx, g):
-    return ctx.inverse(g)
-
-
-def ml_identity(ctx):
-    return ctx.identity
-
-
-def det_rho(ctx, g):
-    return ctx.det_rho(g)
-
-
-def orbit_counts(ctx, gens):
-    return ctx.orbit_counts(gens)
-
-
-def classify(ctx, g):
-    return ctx.classify(g)
-
-
-def fixed_points_on_h(ctx, g):
-    return ctx.fixed_points_on_h(g)
-
-
-def tame_quotient_genus(ctx, elements):
-    return ctx.tame_quotient_genus(elements)
-
-
 class Subgroup:
-    """A subgroup of M_ell: generators plus whatever materialization exists."""
+    """A subgroup of M_ell: generators plus its sorted element list."""
 
-    def __init__(self, ctx, gens, order, elements=None, contains=None, label=""):
+    def __init__(self, ctx, gens, elements, label=""):
         self.ctx = ctx
         self.gens = list(gens)
-        self.order = order
-        self.elements = elements
-        self._contains = contains
+        self._members = frozenset(elements)
+        self.elements = sorted(self._members)
+        self.order = len(self.elements)
         self.label = label
         self._orbits = None
 
     @classmethod
     def from_closure(cls, ctx, gens, maxsize=ML_CLOSURE_LIMIT, label=""):
         els = closure(gens, ctx.compose, ctx.identity, maxsize=maxsize)
-        frozen = frozenset(els)
-        return cls(ctx, gens, len(els), elements=sorted(els), contains=frozen.__contains__, label=label)
-
-    @classmethod
-    def from_coset_product(cls, ctx, base_set, reps, gens, label=""):
-        """Product of a subgroup (given as a set, normalized by everything used
-        here) with coset representatives; certified by coset disjointness."""
-        reps = list(reps)
-        seen = set()
-        for r in reps:
-            for r2 in reps:
-                if r is not r2 and ctx.compose(r, ctx.inverse(r2)) in base_set:
-                    raise AssertionError("coset representatives are not disjoint")
-            seen.add(r)
-        if len(seen) != len(reps):
-            raise AssertionError("duplicate coset representatives")
-
-        def contains(g):
-            for r in reps:
-                if ctx.compose(g, ctx.inverse(r)) in base_set:
-                    return True
-            return False
-
-        order = len(base_set) * len(reps)
-        return cls(ctx, gens, order, elements=None, contains=contains, label=label)
+        return cls(ctx, gens, els, label=label)
 
     def __contains__(self, g):
-        return self._contains(g)
+        return g in self._members
 
     def det_image_order(self):
         """Order of the determinant image inside the cyclic group mu_(q+1)."""
@@ -563,16 +486,32 @@ class Subgroup:
             raise ValueError("tame genus needs materialized elements")
         return self.ctx.tame_quotient_genus(self.elements)
 
-    def sample_product_check(self, rng, trials=64):
-        els = self.elements
-        if els is None:
-            raise ValueError("needs materialized elements")
-        for _ in range(trials):
-            a = rng.choice(els)
-            b = rng.choice(els)
-            if self.ctx.compose(a, b) not in self:
-                return False
-        return True
+
+class DetPreimage(Subgroup):
+    """A subgroup containing S_ell, kept as the preimage of its determinant image.
+
+    S_ell is the kernel of the determinant character onto mu_(q+1), so a
+    subgroup containing it consists of every element whose determinant lies
+    in the cyclic group D generated by the determinants of its generators.
+    Containment of S_ell is certified by requiring the S_ell generators among
+    gens.  The elements are not materialized.
+    """
+
+    def __init__(self, ctx, gens, label=""):
+        ctx._ensure_structure()
+        if not set(ctx.s_ell_gens) <= set(gens):
+            raise ValueError("a determinant preimage needs the S_ell generators")
+        self.ctx = ctx
+        self.gens = list(gens)
+        self.elements = None
+        self.label = label
+        self._orbits = None
+        d = self.det_image_order()
+        self._dets = frozenset(t for t in ctx.mu if ctx.F.pow(t, d) == 1)
+        self.order = len(ctx.s_ell) * d
+
+    def __contains__(self, g):
+        return g[2] in self._dets
 
 
 # -- the tower group Aut(K_n) ---------------------------------------------------
@@ -592,7 +531,6 @@ class KnContext:
         self.FB = make_field(self.p, 2 * self.h * n)
         self.m = (q**n + 1) // (q + 1)
         self.mu_big = [e.code for e in roots_of_unity(self.FB, q**n + 1)]
-        self.mu_big_set = frozenset(self.mu_big)
         self.mu_m_set = frozenset(
             e.code for e in roots_of_unity(self.FB, self.m)
         )
@@ -636,36 +574,18 @@ class KnContext:
         return g[2]
 
     def iter_elements(self):
-        F = self.F2
-        for a in range(F.card):
-            va = F.sub(F.pow(a, self.q + 1), 1)
-            for c in self.ml.norm_fiber.get(va, ()):
-                for x in self.mu_big:
-                    yield (a, c, x)
+        for a, c, _ in self.ml.s_ell:
+            for x in self.mu_big:
+                yield (a, c, x)
 
     def c_m_elements(self):
         """The central kernel of pi: (1, 0, xi) with xi^m = 1."""
         return [(1, 0, x) for x in sorted(self.mu_m_set)]
 
-    def power(self, g, e):
-        out = self.identity
-        base = g if e >= 0 else self.inverse(g)
-        e = abs(e)
-        while e:
-            if e & 1:
-                out = self.compose(out, base)
-            base = self.compose(base, base)
-            e >>= 1
-        return out
-
 
 @lru_cache(maxsize=None)
 def kn_context(q, n):
     return KnContext(q, n)
-
-
-def autkn_compose(kn, g1, g2):
-    return kn.compose(g1, g2)
 
 
 @dataclass(frozen=True)

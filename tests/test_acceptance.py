@@ -60,7 +60,7 @@ def oracle_sweep():
 # The erratum whose rejected orbit count some published genera lift, and
 # the catalog family whose closed form it corrects.
 ERRATUM = "sl2_five_orbit_count"
-ERRATUM_FAMILY = "sl2_five"
+ERRATUM_FAMILY = formulas.ERRATA[ERRATUM]["catalog_family"]
 
 
 def _erratum_lifts(q, n):

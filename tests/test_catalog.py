@@ -10,7 +10,7 @@ from gk2genus.catalog import (
     instantiate,
     s_of,
 )
-from gk2genus.mlgroup import ml_context
+from gk2genus.mlgroup import DetPreimage, closure, ml_context
 
 
 def _by_family(q, family):
@@ -98,6 +98,24 @@ def test_det_image_matches_oracle_everywhere():
             s = s_of(inst)
             assert (q + 1) % s == 0
             assert instantiate(inst).det_image_order() == s
+
+
+def test_s_ell_preimages_match_their_closure():
+    # the instances containing S_ell are kept as determinant preimages; each
+    # must be exactly the group its generators close to
+    checked = 0
+    for q in (4, 5, 9):
+        ctx = ml_context(q).structure()
+        for inst in enumerate_instances(q):
+            sub = instantiate(inst)
+            if not isinstance(sub, DetPreimage):
+                continue
+            closed = closure(sub.gens, ctx.compose, ctx.identity)
+            assert sub.order == len(closed), inst.label()
+            for g in ctx.iter_elements():
+                assert (g in sub) == (g in closed), (inst.label(), g)
+            checked += 1
+    assert checked == 12
 
 
 def test_tail_clause_center_intersection():

@@ -48,6 +48,18 @@ def test_output_file(tmp_path, capsys):
     assert path.read_text().splitlines()[0] == "genus,witness"
 
 
+def test_output_into_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code = main(
+        ["spectrum", "--q", "5", "--n", "3", "--format", "csv", "--output", str(path)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not path.exists()
+
+
 def test_exit_codes_for_invalid_arguments(capsys):
     # unsupported congruence class of q
     assert main(["spectrum", "--q", "7", "--n", "3"]) == 2
@@ -66,9 +78,11 @@ def test_exit_codes_for_invalid_arguments(capsys):
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--q", "4"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert main(["verify", "--q", "7"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "rejected" in out
+    # rejected q values are invalid arguments
+    for q in ("7", "49"):
+        assert main(["verify", "--q", q]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "rejected" in out
 
 
 def test_catalog_listing(capsys):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from gk2genus import formulas
+from gk2genus.catalog import enumerate_instances
 from gk2genus.engine import (
     check_table,
     classify_elements,
@@ -147,7 +148,14 @@ def test_errata_report_entries():
     assert rep["schema"] == "gk2genus.errata/1"
     assert len(rep["entries"]) == 3
     for entry in rep["entries"].values():
-        assert {"family", "adopted", "rejected", "witness"} <= set(entry)
+        assert {"family", "catalog_family", "adopted", "rejected", "witness"} <= set(entry)
+        # the witness names a catalog instance of the entry's family
+        wit = entry["witness"]
+        params = {k: v for k, v in wit.items() if k not in ("q", "adopted_n", "rejected_n")}
+        assert any(
+            inst.family == entry["catalog_family"] and inst.param_dict == params
+            for inst in enumerate_instances(wit["q"])
+        ), (entry["catalog_family"], wit)
 
 
 def test_spectrum_witness_labels_unique_per_genus():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from gk2genus.mlgroup import (
+    DetPreimage,
     Subgroup,
     closure,
     group_from_triple,
@@ -191,15 +192,22 @@ def test_closure_guard():
         closure(ctx.s_ell_gens, ctx.compose, ctx.identity, maxsize=10)
 
 
-def test_subgroup_coset_product():
+def test_subgroup_det_preimage():
     ctx = ml_context(4).structure()
-    reps = ctx.z_elements
-    sub = Subgroup.from_coset_product(ctx, ctx.s_ell_set, reps, ctx.s_ell_gens + [ctx.z_gen])
+    sub = DetPreimage(ctx, ctx.s_ell_gens + [ctx.z_gen])
     assert sub.order == ctx.order
     assert sub.n_orbits() == 2
     rng = random.Random(3)
     for _ in range(30):
         assert ctx.random_element(rng) in sub
+
+
+def test_det_preimage_requires_s_ell_generators():
+    ctx = ml_context(5).structure()
+    with pytest.raises(ValueError):
+        DetPreimage(ctx, ctx.s_ell_gens[1:] + [ctx.z_gen])
+    with pytest.raises(ValueError):
+        DetPreimage(ctx, [ctx.z_gen, ctx.beta])
 
 
 def test_det_image_and_center_intersection():
