@@ -146,11 +146,8 @@ def _minv(F, A):
 # one conjugates into a unique chord element with unit determinant character.
 
 
+@lru_cache(maxsize=None)
 def _frame(ctx):
-    cached = getattr(ctx, "_chord_frame", None)
-    if cached is not None:
-        return cached
-    ctx._ensure_structure()
     F, q = ctx.F, ctx.q
     if ctx.R0[1] != 1 or ctx.R1[1] != 1 or ctx.R0[2] != 0 or ctx.R1[2] != 0:
         raise RecipeError("chord points are not in (x : 1 : 0) form")
@@ -172,8 +169,7 @@ def _frame(ctx):
     )
     if gram != ((0, delta), (F.neg(delta), 0)):
         raise RecipeError("chord frame does not respect the Hermitian form")
-    ctx._chord_frame = (delta, P, Pinv)
-    return ctx._chord_frame
+    return delta, P, Pinv
 
 
 def _block_of(ctx, g):
@@ -209,7 +205,6 @@ def _det1_element(ctx, M):
 
 def _center_gen(ctx, w):
     """Generator of the order-w central subgroup acting trivially downstairs."""
-    ctx._ensure_structure()
     base = ctx.q + 1 if ctx.p == 2 else (ctx.q + 1) // 2
     if base % w:
         raise RecipeError("w=%d does not divide the central order %d" % (w, base))
@@ -241,7 +236,6 @@ def _invariant_elation_gens(ctx, delta, u):
     stays delta-invariant.  Deterministic, and fails loudly when no invariant
     subgroup of the requested size exists.
     """
-    ctx._ensure_structure()
     target = ctx.p**u
     dinv = ctx.inverse(delta)
     span = {ctx.identity}
@@ -266,7 +260,6 @@ def _invariant_elation_gens(ctx, delta, u):
 
 
 def _torus_power(ctx, order):
-    ctx._ensure_structure()
     q = ctx.q
     if (q * q - 1) % order:
         raise RecipeError("no torus element of order %d" % order)
@@ -279,14 +272,6 @@ def _torus_power(ctx, order):
 def _neg_norm_rep(ctx):
     """Smallest c with c^(q+1) = -1; (0, c, tau) then swaps the chord points."""
     return min(c for a, c, _ in ctx.s_ell if a == 0)
-
-
-def _unit_index(ctx):
-    cached = getattr(ctx, "_unit_index_map", None)
-    if cached is None:
-        cached = {code: i for i, code in enumerate(ctx.mu)}
-        ctx._unit_index_map = cached
-    return cached
 
 
 def _a1_element(ctx, i, j):
@@ -388,7 +373,6 @@ def _make_sl2_subfield(ctx, k, w, label="sl2_subfield"):
 
 def _s_ell_center_product(ctx, w, with_beta, label):
     """S_ell times the central C_w, optionally extended by the chord involution."""
-    ctx._ensure_structure()
     gens = list(ctx.s_ell_gens)
     if w > 1:
         gens.append(_center_gen(ctx, w))
@@ -403,7 +387,6 @@ def _make_sl2_two(ctx, w):
 
 def _chord_swap(ctx, square, conj_src, conj_dst):
     """Smallest chord-point swap with the given square and conjugation effect."""
-    ctx._ensure_structure()
     for g in sorted(ctx.wcoset):
         if ctx.power(g, 2) != square:
             continue
@@ -473,10 +456,9 @@ def _make_triangle_swap(ctx, d, e, a, t):
     sigma = (0, _neg_norm_rep(ctx), ctx.mu[t % n])
     if not ctx.is_element(sigma):
         raise RecipeError("swap representative is not a chord element")
-    idx = _unit_index(ctx)
     s2 = ctx.power(sigma, 2)
-    i2 = idx[s2[0]]
-    j2 = (idx[s2[2]] - i2) % n
+    i2 = ctx.mu.index(s2[0])
+    j2 = (ctx.mu.index(s2[2]) - i2) % n
     if (i2, j2) not in pairs:
         raise RecipeError("swap square leaves the diagonal part")
     gens = [g for g in (_a1_element(ctx, n // d, 0), _a1_element(ctx, a, n // e))
@@ -526,7 +508,6 @@ def _make_gl2_three(ctx, w):
     core = closure(core_gens, ctx.compose, ctx.identity, maxsize=64)
     if len(core) != 24:
         raise RecipeError("quaternionic core has wrong order")
-    ctx._ensure_structure()
     ext = None
     for s in ctx.s_ell:
         g = ctx.compose(ctx.beta, s)

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -272,13 +273,16 @@ def check_table(q, n, expected):
 
 
 def _burnside_orbits(sub):
-    """Orbit count by averaging fixed points, or None when not materialized."""
+    """Exact average number of fixed points, or None when not materialized.
+
+    For a group this is its orbit count; a fractional average means the
+    element list is not a group, and it then equals no orbit count.
+    """
     if sub.elements is None:
         return None
     ctx = sub.ctx
     total = sum(ctx.fixed_points_on_h(g) for g in sub.elements)
-    quo, rem = divmod(total, sub.order)
-    return None if rem else quo
+    return Fraction(total, sub.order)
 
 
 def row_passed(row):

@@ -3,9 +3,11 @@
 Elements are integer codes: the code of c0 + c1*x + ... is sum(ci * p^i).
 Every canonical choice (modulus, primitive element, embedding root) uses
 one rule: smallest candidate in coefficient-lex order, coefficients
-compared low-degree first.  Fields small enough to table get exp/log
-arrays, so mul/inv/pow are O(1) lookups; bigger fields fall back to
-polynomial arithmetic.  Contexts are singletons per (p, k), created via
+compared low-degree first.  Fields have at most 2^15 elements, and every
+field is tabled at construction: exp/log arrays over the canonical
+generator make mul/inv/pow O(1) lookups, and a Zech-logarithm array
+(log(1 + g^i) for each i) makes add/neg lookups too at odd p; at p = 2
+addition is XOR.  Contexts are singletons per (p, k), created via
 make_field.
 """
 
@@ -20,8 +22,7 @@ from sympy import GF as _sympy_GF
 from sympy import Poly as _sympy_Poly
 from sympy.abc import x as _sympy_x
 
-_CARD_LIMIT = 2**40
-_TABLE_LIMIT = 2**15
+_CARD_LIMIT = 2**15
 _NP_TABLE_LIMIT = 1024
 
 
@@ -71,11 +72,9 @@ class FieldCtx:
         self.k = k
         self.card = p**k
         self.modulus = self._find_modulus()
-        self.zero_code = 0
-        self.one_code = 1
-        self._exp = None
-        self._log = None
+        self._factors = factorint(self.card - 1)
         self.gen_code = self._find_primitive()
+        self._build_tables(self.gen_code)
         self._np_cache = {}
 
     def __repr__(self):
@@ -98,19 +97,17 @@ class FieldCtx:
 
     def _find_primitive(self):
         n = self.card - 1
-        if n == 1:
-            return 1
-        primes = list(factorint(n))
         for code in self._iter_codes_lex():
             if code == 0:
                 continue
-            if all(self._pow_slow(code, n // r) != 1 for r in primes):
-                if self.card <= _TABLE_LIMIT:
-                    self._build_tables(code)
+            if all(self._pow_slow(code, n // r) != 1 for r in self._factors):
                 return code
         raise AssertionError("no primitive element found")
 
     def _build_tables(self, gen):
+        # exp[i] = g^i, log[g^i] = i, and zech[i] = log(1 + g^i), None where
+        # g^i = -1.  Adding 1 changes only the constant digit of a code.
+        p = self.p
         n = self.card - 1
         exp = [1] * n
         log = [0] * self.card
@@ -120,35 +117,33 @@ class FieldCtx:
             exp[i] = c
         for i, c in enumerate(exp):
             log[c] = i
+        self._n = n
         self._exp = exp
         self._log = log
+        self._zech = [None if c == p - 1 else log[c - c % p + (c + 1) % p] for c in exp]
 
     # -- scalar ops on codes -------------------------------------------------
 
     def add(self, a, b):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        out = 0
-        mult = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mult
-            mult *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # a + b = a * (1 + b/a)
+        log = self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % self._n]
+        if z is None:
+            return 0
+        return self._exp[(la + z) % self._n]
 
     def neg(self, a):
-        p = self.p
-        if p == 2:
+        if self.p == 2 or a == 0:
             return a
-        out = 0
-        mult = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += (-ra % p) * mult
-            mult *= p
-        return out
+        # -1 = g^(n/2) at odd p
+        return self._exp[(self._log[a] + self._n // 2) % self._n]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -163,10 +158,7 @@ class FieldCtx:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            n = self.card - 1
-            return self._exp[(self._log[a] + self._log[b]) % n]
-        return self._mul_slow(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % self._n]
 
     def _pow_slow(self, a, e):
         n = self.card - 1
@@ -185,18 +177,12 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0 if e else 1
-        if self._exp is not None:
-            n = self.card - 1
-            return self._exp[(self._log[a] * e) % n]
-        return self._pow_slow(a, e)
+        return self._exp[(self._log[a] * e) % self._n]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._exp is not None:
-            n = self.card - 1
-            return self._exp[(n - self._log[a]) % n]
-        return self._pow_slow(a, self.card - 2)
+        return self._exp[-self._log[a] % self._n]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -215,9 +201,8 @@ class FieldCtx:
         """Multiplicative order of a nonzero code."""
         if a == 0:
             raise ValueError("0 has no multiplicative order")
-        n = self.card - 1
-        order = n
-        for r, e in factorint(n).items():
+        order = self._n
+        for r, e in self._factors.items():
             for _ in range(e):
                 if self.pow(a, order // r) == 1:
                     order //= r
@@ -261,21 +246,29 @@ class FieldCtx:
 
     # -- vectorized tables (small fields only) --------------------------------
 
+    def _np_logs(self):
+        """(exp, log) as int64 arrays."""
+        if "logs" not in self._np_cache:
+            self._np_cache["logs"] = (
+                np.array(self._exp, dtype=np.int64),
+                np.array(self._log, dtype=np.int64),
+            )
+        return self._np_cache["logs"]
+
     def np_mul_table(self):
         """card x card int32 table of products, by code."""
         if "mul" not in self._np_cache:
             if self.card > _NP_TABLE_LIMIT:
                 raise ValueError("field too large for dense tables")
-            n = self.card - 1
-            log = np.array(self._log, dtype=np.int64)
-            exp = np.array(self._exp, dtype=np.int64)
+            exp, log = self._np_logs()
             nz = log[1:]
             tab = np.zeros((self.card, self.card), dtype=np.int32)
-            tab[1:, 1:] = exp[(nz[:, None] + nz[None, :]) % n].astype(np.int32)
+            tab[1:, 1:] = exp[(nz[:, None] + nz[None, :]) % self._n]
             self._np_cache["mul"] = tab
         return self._np_cache["mul"]
 
     def np_add_table(self):
+        """card x card int32 table of sums, by code."""
         if "add" not in self._np_cache:
             if self.card > _NP_TABLE_LIMIT:
                 raise ValueError("field too large for dense tables")
@@ -283,36 +276,26 @@ class FieldCtx:
             if self.p == 2:
                 tab = (codes[:, None] ^ codes[None, :]).astype(np.int32)
             else:
-                tab = np.zeros((self.card, self.card), dtype=np.int64)
-                mult = 1
-                rest_a = codes.copy()
-                rest_b = codes.copy()
-                for _ in range(self.k):
-                    da = rest_a % self.p
-                    db = rest_b % self.p
-                    tab += ((da[:, None] + db[None, :]) % self.p) * mult
-                    rest_a //= self.p
-                    rest_b //= self.p
-                    mult *= self.p
-                tab = tab.astype(np.int32)
+                n = self._n
+                exp, log = self._np_logs()
+                zech = np.array([-1 if z is None else z for z in self._zech], dtype=np.int64)
+                la = log[1:, None]
+                z = zech[(log[None, 1:] - la) % n]
+                tab = np.empty((self.card, self.card), dtype=np.int32)
+                tab[0, :] = codes
+                tab[:, 0] = codes
+                tab[1:, 1:] = np.where(z < 0, 0, exp[(la + z) % n])
             self._np_cache["add"] = tab
         return self._np_cache["add"]
 
-    def np_inv_vec(self):
-        if "inv" not in self._np_cache:
-            vec = np.zeros(self.card, dtype=np.int32)
-            for c in range(1, self.card):
-                vec[c] = self.inv(c)
-            self._np_cache["inv"] = vec
-        return self._np_cache["inv"]
-
     def np_pow_vec(self, e):
+        """card int32 vector of e-th powers, by code; 0 maps to 0 when e < 0."""
         key = ("pow", e)
         if key not in self._np_cache:
+            exp, log = self._np_logs()
             vec = np.zeros(self.card, dtype=np.int32)
             vec[0] = self.pow(0, e) if e >= 0 else 0
-            for c in range(1, self.card):
-                vec[c] = self.pow(c, e)
+            vec[1:] = exp[(log[1:] * e) % self._n]
             self._np_cache[key] = vec
         return self._np_cache[key]
 
@@ -428,7 +411,7 @@ def make_field(p, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     if p**k > _CARD_LIMIT:
-        raise ValueError("field too large: p^k > 2^40")
+        raise ValueError("field too large: p^k > 2^15")
     return FieldCtx(p, k, _token=_MAKE_TOKEN)
 
 

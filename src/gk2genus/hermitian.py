@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint
 
+from .formulas import prime_power
 from .gf import make_field
 
 
@@ -74,10 +74,7 @@ class HermitianPointSet:
     """The q^3 + 1 curve points, with index lookup and numpy views."""
 
     def __init__(self, q):
-        fact = factorint(q)
-        if len(fact) != 1:
-            raise ValueError("q must be a prime power, got %r" % (q,))
-        ((self.p, self.h),) = fact.items()
+        self.p, self.h = prime_power(q)
         self.q = q
         self.F = make_field(self.p, 2 * self.h)
         F = self.F
@@ -95,26 +92,24 @@ class HermitianPointSet:
                 pts.append((xc, yc, 1))
         self.points = pts
         self.index = {pt: i for i, pt in enumerate(pts)}
-        self._np = None
+        card = F.card
+        arr = np.array(pts, dtype=np.int64)
+        X, Y, Z = arr[:, 0], arr[:, 1], arr[:, 2]
+        keys = (X * card + Y) * card + Z
+        order = np.argsort(keys, kind="stable")
+        self._np = (
+            X.astype(np.int32),
+            Y.astype(np.int32),
+            Z.astype(np.int32),
+            keys[order],
+            order.astype(np.int64),
+        )
 
     def __len__(self):
         return len(self.points)
 
     def np_coords(self):
         """(X, Y, Z, sorted_keys, sorted_to_index) arrays for vectorized orbit work."""
-        if self._np is None:
-            card = self.F.card
-            arr = np.array(self.points, dtype=np.int64)
-            X, Y, Z = arr[:, 0], arr[:, 1], arr[:, 2]
-            keys = (X * card + Y) * card + Z
-            order = np.argsort(keys, kind="stable")
-            self._np = (
-                X.astype(np.int32),
-                Y.astype(np.int32),
-                Z.astype(np.int32),
-                keys[order],
-                order.astype(np.int64),
-            )
         return self._np
 
     def lookup(self, xa, ya, za):

@@ -68,7 +68,12 @@ class ElementType:
 
 
 class MlContext:
-    """Everything needed to compute inside M_ell for one prime power q."""
+    """Everything needed to compute inside M_ell for one prime power q.
+
+    The context is complete at construction: the dense field tables, the
+    numpy point coordinates and the standard subgroup inventory are all
+    built in __init__, so every method can be called on a fresh context.
+    """
 
     def __init__(self, q):
         self.q = q
@@ -78,16 +83,22 @@ class MlContext:
         self.card = F.card
         self.mu = [e.code for e in roots_of_unity(F, q + 1)]
         self.mu_set = frozenset(self.mu)
-        self.eps = self.mu[1] if q + 1 > 1 else 1
+        self.eps = self.mu[1]
         self.identity = (1, 0, 1)
         self.frobq = [F.pow(cde, q) for cde in range(F.card)]
         self.order = (q**3 - q) * (q + 1)
         # S_ell = the determinant-1 part, isomorphic to SL(2,q): (a, c, 1) with
         # a^(q+1) - c^(q+1) = 1, which are exactly the affine curve points (x, y, 1)
         self.s_ell = self.pts.points[self.pts.chord_count:]
-        self._np_ready = False
+        # element orders divide p * (q^2 - 1)
+        self._order_factors = factorint(self.p * (q * q - 1))
         self._order_cache = {}
-        self._structure_ready = False
+        self.MUL = F.np_mul_table()
+        self.ADD = F.np_add_table()
+        self.INV = F.np_pow_vec(-1)
+        self.SQ = F.np_pow_vec(2)
+        self.X, self.Y, self.Z, _, _ = self.pts.np_coords()
+        self._ensure_structure()
 
     # -- element operations -------------------------------------------------
 
@@ -136,10 +147,9 @@ class MlContext:
         cached = self._order_cache.get(g)
         if cached:
             return cached
-        # element orders divide p * (q^2 - 1), but walk prime-by-prime
-        bound = self.p * (self.q**2 - 1)
-        n = bound
-        for r, e in factorint(bound).items():
+        # walk the order bound p * (q^2 - 1) down prime by prime
+        n = self.p * (self.q**2 - 1)
+        for r, e in self._order_factors.items():
             for _ in range(e):
                 if self.power(g, n // r) == self.identity:
                     n //= r
@@ -178,19 +188,7 @@ class MlContext:
 
     # -- vectorized plumbing --------------------------------------------------
 
-    def _ensure_np(self):
-        if self._np_ready:
-            return
-        F = self.F
-        self.MUL = F.np_mul_table()
-        self.ADD = F.np_add_table()
-        self.INV = F.np_inv_vec()
-        self.SQ = F.np_pow_vec(2)
-        self.X, self.Y, self.Z, _, _ = self.pts.np_coords()
-        self._np_ready = True
-
     def _image_coords(self, g):
-        self._ensure_np()
         a, c, t = g
         F = self.F
         u = F.mul(t, self.frobq[c])
@@ -259,7 +257,6 @@ class MlContext:
             chord_fixed = [(0, 1, 0), (1, 0, 0)]
         else:
             # fixed chord points (x:1:0) solve -c x^2 + (a - t a^q) x + t c^q = 0
-            self._ensure_np()
             negc = F.neg(c)
             b1 = F.sub(a, taq)
             d0 = F.mul(t, self.frobq[c])
@@ -330,8 +327,7 @@ class MlContext:
     # -- standard subgroup inventory -------------------------------------------
 
     def _ensure_structure(self):
-        if self._structure_ready:
-            return
+        """Build the standard subgroup inventory; run once, by __init__."""
         F, q = self.F, self.q
         self.R0 = self.pts.points[0]
         self.R1 = self.pts.points[1]
@@ -349,7 +345,6 @@ class MlContext:
         s_ell = self.s_ell
         self.s_ell_set = frozenset(s_ell)
         # stabilizer scans over all of M_ell, vectorized per determinant value
-        self._ensure_np()
         arr = np.array(s_ell, dtype=np.int64)
         a_arr, c_arr = arr[:, 0], arr[:, 1]
         MUL, ADD = self.MUL, self.ADD
@@ -357,7 +352,7 @@ class MlContext:
         aq, cq = FR[a_arr], FR[c_arr]
         x0 = self.R0[0]
         x1 = self.R1[0]
-        torus, wcoset, stab0_sl = [], [], []
+        torus, wcoset, stab0_sl, stab1_sl = [], [], [], []
         for t in self.mu:
             xi = ADD[MUL[a_arr, x0], MUL[t, cq]]
             yi = ADD[MUL[c_arr, x0], MUL[t, aq]]
@@ -374,50 +369,39 @@ class MlContext:
             if t == 1:
                 for i in np.flatnonzero(fix0):
                     stab0_sl.append((int(a_arr[i]), int(c_arr[i]), 1))
+                for i in np.flatnonzero(fix1):
+                    stab1_sl.append((int(a_arr[i]), int(c_arr[i]), 1))
         if len(torus) != q * q - 1 or len(wcoset) != q * q - 1:
             raise AssertionError("unexpected two-point stabilizer sizes")
-        if len(stab0_sl) != q * (q - 1):
+        if len(stab0_sl) != q * (q - 1) or len(stab1_sl) != q * (q - 1):
             raise AssertionError("unexpected Borel size in S_ell")
         self.torus = torus
         self.wcoset = wcoset
         self.torus_gen = next(g for g in torus if self.order_of(g) == q * q - 1)
-        # elation group at R0: identity plus the order-p elements of the stabilizer
-        e_q = [g for g in stab0_sl if g != self.identity and self.order_of(g) == self.p]
+        # elation groups at R0 and R1: the order-p elements of each stabilizer
+        e_q, e_r1 = (
+            sorted(g for g in stab if g != self.identity
+                   and self.power(g, self.p) == self.identity)
+            for stab in (stab0_sl, stab1_sl)
+        )
         if len(e_q) != q - 1:
             raise AssertionError("elation group has wrong size")
-        self.e_q = [self.identity] + sorted(e_q)
+        self.e_q = [self.identity] + e_q
         # generators of S_ell from opposite elation groups; a pair of
         # involutions is only dihedral, so even q > 2 needs the full E_q side
-        e_r1 = sorted(self._elations_at(self.R1))
         candidates = []
         if self.p != 2 or self.h == 1:
             candidates.extend([u, v] for u in self.e_q[1:] for v in e_r1)
         candidates.append(self.e_q[1:] + e_r1[:1])
         candidates.append(self.e_q[1:] + e_r1)
-        found = None
-        for gens in candidates:
-            cl = closure(gens, self.compose, self.identity, maxsize=2 * len(s_ell))
-            if len(cl) == len(s_ell):
-                found = gens
-                break
+        # S_ell acts regularly on the affine points (g sends (1, 0, 1) to g), so
+        # a subset of S_ell generates it exactly when it is transitive on them
+        found = next((gens for gens in candidates if self.orbit_counts(gens)[1] == 1), None)
         if not found:
             raise AssertionError("opposite elation groups fail to generate S_ell")
         self.s_ell_gens = found
-        self._structure_ready = True
-
-    def _elations_at(self, pt):
-        out = []
-        for g in self.s_ell:
-            if self.apply(g, pt) == pt and self.order_of(g) == self.p:
-                out.append(g)
-        return out
-
-    def structure(self):
-        self._ensure_structure()
-        return self
 
     def random_element(self, rng):
-        self._ensure_structure()
         a, c, _ = rng.choice(self.s_ell)
         return (a, c, rng.choice(self.mu))
 
@@ -472,14 +456,10 @@ class Subgroup:
         return n1 + n2
 
     def z_intersection_order(self):
-        ctx = self.ctx
-        ctx._ensure_structure()
-        return sum(1 for z in ctx.z_elements if z in self)
+        return sum(1 for z in self.ctx.z_elements if z in self)
 
     def z1_intersection_order(self):
-        ctx = self.ctx
-        ctx._ensure_structure()
-        return sum(1 for z in ctx.z1_elements if z in self)
+        return sum(1 for z in self.ctx.z1_elements if z in self)
 
     def tame_genus(self):
         if self.elements is None:
@@ -498,7 +478,6 @@ class DetPreimage(Subgroup):
     """
 
     def __init__(self, ctx, gens, label=""):
-        ctx._ensure_structure()
         if not set(ctx.s_ell_gens) <= set(gens):
             raise ValueError("a determinant preimage needs the S_ell generators")
         self.ctx = ctx

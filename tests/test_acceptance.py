@@ -293,7 +293,7 @@ def test_criterion_7_structural_suites():
     rng = random.Random(101)
     classified = burnside = 0
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         assert ctx.order == (q**3 - q) * (q + 1)
         assert len(ctx.s_ell) == q**3 - q
         for g in ctx.iter_elements():

@@ -105,7 +105,7 @@ def test_s_ell_preimages_match_their_closure():
     # must be exactly the group its generators close to
     checked = 0
     for q in (4, 5, 9):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         for inst in enumerate_instances(q):
             sub = instantiate(inst)
             if not isinstance(sub, DetPreimage):
@@ -137,7 +137,7 @@ def test_tail_clause_center_intersection():
 
 def test_unipotent_stabilizer_fixes_one_chord_point():
     # E_4 x C_5 at q=4 fixes exactly one point on the chord
-    ctx = ml_context(4).structure()
+    ctx = ml_context(4)
     inst = [
         i
         for i in _by_family(4, "elementary_abelian")
@@ -155,7 +155,7 @@ def test_unipotent_stabilizer_fixes_one_chord_point():
 def test_central_order3_subgroup_at_q5():
     # Z_1 = C_3 shows up among the diagonal instances; all of its nonidentity
     # elements act with the homology fixed-point pattern
-    ctx = ml_context(5).structure()
+    ctx = ml_context(5)
     hits = 0
     for inst in _by_family(5, "diagonal"):
         if inst.order != 3:

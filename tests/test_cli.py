@@ -75,6 +75,12 @@ def test_exit_codes_for_invalid_arguments(capsys):
     capsys.readouterr()
 
 
+def test_classify_rejects_a_field_above_the_size_limit(capsys):
+    # GF(256^2) has 2^16 elements, past the 2^15 field limit
+    assert main(["classify", "--q", "256"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--q", "4"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from gk2genus import formulas
+from gk2genus import engine, formulas
 from gk2genus.catalog import enumerate_instances
 from gk2genus.engine import (
     check_table,
@@ -15,6 +15,7 @@ from gk2genus.engine import (
     verify_all,
 )
 from gk2genus.golden import GOLDEN_ROWS
+from gk2genus.mlgroup import Subgroup, ml_context
 
 
 def test_spectrum_contains_reference_genera_q5_n3():
@@ -123,6 +124,23 @@ def test_verify_all_passes_at_small_q():
     assert rep["n_instances"] == len(rep["checks"]) > 0
     for row in rep["checks"]:
         assert row["order_ok"] and row["s_ok"]
+
+
+def test_verify_all_fails_a_fractional_burnside_average(monkeypatch):
+    # an element of order 5 listed with the identity only is not a group:
+    # its fixed points average 65/2, which no orbit count equals
+    ctx = ml_context(4)
+    g = (2, 4, 1)
+    fake = Subgroup(ctx, [g], [ctx.identity, g])
+    target = next(inst for inst in enumerate_instances(4) if inst.order == 2)
+    real = engine.instantiate
+    monkeypatch.setattr(
+        engine, "instantiate", lambda inst: fake if inst == target else real(inst)
+    )
+    rep = verify_all(4)
+    (row,) = [r for r in rep["checks"] if r["instance"] == target.label()]
+    assert row["burnside_ok"] is False
+    assert rep["passed"] is False
 
 
 def test_verify_all_rejections():

@@ -8,7 +8,7 @@ from sympy import GF as sympy_GF
 from sympy import Poly, totient
 from sympy.abc import x
 
-from gk2genus.gf import embed, embed_codes, make_field, roots_of_unity
+from gk2genus.gf import _code_of, _coeffs_of, embed, embed_codes, make_field, roots_of_unity
 
 
 def test_gf4_canonical():
@@ -140,6 +140,10 @@ def test_make_field_guards():
     with pytest.raises(ValueError):
         make_field(2, 64)
     with pytest.raises(ValueError):
+        make_field(2, 16)
+    with pytest.raises(ValueError):
+        make_field(3, 10)
+    with pytest.raises(ValueError):
         embed_codes(make_field(2, 2), make_field(2, 5))
     with pytest.raises(ValueError):
         embed_codes(make_field(2, 2), make_field(3, 2))
@@ -155,3 +159,60 @@ def test_pow_and_frob():
         F8.gen.frobenius_q(3)
     with pytest.raises(ZeroDivisionError):
         F8.zero / F8.zero
+
+
+def _digitwise(F, a, b, sign=1):
+    """Coefficient-wise a + sign * b mod p, the definition of field addition."""
+    pairs = zip(_coeffs_of(a, F.p, F.k), _coeffs_of(b, F.p, F.k))
+    return _code_of([(x + sign * y) % F.p for x, y in pairs], F.p)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 4), (13, 2), (5, 4)])
+def test_tabled_addition_matches_coefficients_on_every_pair(p, k):
+    F = make_field(p, k)
+    codes = range(F.card)
+    table = F.np_add_table()
+    assert table.shape == (F.card, F.card)
+    for a in codes:
+        sums = [_digitwise(F, a, b) for b in codes]
+        assert [F.add(a, b) for b in codes] == sums
+        assert table[a].tolist() == sums
+        assert [F.sub(a, b) for b in codes] == [_digitwise(F, a, b, -1) for b in codes]
+        assert F.neg(a) == _digitwise(F, 0, a, -1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (5, 6)])
+def test_tabled_addition_matches_coefficients_on_sampled_pairs(p, k):
+    F = make_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    for _ in range(200_000):
+        a, b = rng.randrange(F.card), rng.randrange(F.card)
+        assert F.add(a, b) == _digitwise(F, a, b)
+        assert F.sub(a, b) == _digitwise(F, a, b, -1)
+        assert F.neg(a) == _digitwise(F, 0, a, -1)
+
+
+def test_prime_field_tables():
+    for p in (2, 3):
+        F = make_field(p, 1)
+        for a in range(p):
+            for b in range(p):
+                assert F.mul(a, b) == a * b % p
+            for e in range(-2, 5):
+                if a or e >= 0:
+                    assert F.pow(a, e) == pow(a, e, p)
+            if a:
+                assert F.mul(a, F.inv(a)) == 1 and F.inv(a) == pow(a, -1, p)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (5, 2), (13, 2)])
+def test_dense_tables_match_scalar_ops(p, k):
+    F = make_field(p, k)
+    codes = range(F.card)
+    mul = F.np_mul_table()
+    for a in codes:
+        assert mul[a].tolist() == [F.mul(a, b) for b in codes]
+    for e in (-1, 0, 2, 5):
+        assert F.np_pow_vec(e).tolist() == [F.pow(c, e) if c or e >= 0 else 0 for c in codes]

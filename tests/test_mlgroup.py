@@ -20,7 +20,7 @@ from gk2genus.mlgroup import (
 def test_group_axioms_random():
     rng = random.Random(5)
     for q in (3, 4, 5):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         els = [ctx.random_element(rng) for _ in range(30)]
         for g in els:
             assert ctx.is_element(g)
@@ -49,7 +49,7 @@ def test_element_count_and_det():
 
 def test_standard_subgroups():
     for q in (2, 3, 4, 5, 8, 9):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         assert len(ctx.s_ell) == q**3 - q
         assert len(ctx.z_elements) == q + 1
         assert len(ctx.e_q) == q
@@ -76,14 +76,14 @@ def test_standard_subgroups():
 
 def test_s_ell_generators_generate():
     for q in (2, 3, 4, 5, 8, 9):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         cl = closure(ctx.s_ell_gens, ctx.compose, ctx.identity)
         assert cl == set(ctx.s_ell_set)
 
 
 def test_beta_and_z1_odd_q():
     for q in (5, 9, 13):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         assert ctx.det_rho(ctx.beta) == ctx.F.neg(1)
         assert ctx.compose(ctx.beta, ctx.beta) == ctx.identity
         assert len(ctx.z1_elements) == (q + 1) // 2
@@ -111,7 +111,7 @@ def test_classification_total_small_q():
 def test_classification_order_constraints():
     rng = random.Random(17)
     for q in (4, 5, 9):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         p = ctx.p
         for _ in range(120):
             g = ctx.random_element(rng)
@@ -134,7 +134,7 @@ def test_classification_order_constraints():
 def test_fixed_points_match_brute_random():
     rng = random.Random(23)
     for q in (5, 8, 9, 13):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         for _ in range(60):
             g = ctx.random_element(rng)
             assert ctx.fixed_points_on_h(g) == ctx.count_fixed_brute(g)
@@ -142,7 +142,7 @@ def test_fixed_points_match_brute_random():
 
 def test_orbit_counts_known_groups():
     for q in (2, 3, 4, 5):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         assert ctx.orbit_counts([]) == (q + 1, q**3 - q)
         assert ctx.orbit_counts(ctx.s_ell_gens + [ctx.z_gen]) == (1, 1)
         assert ctx.orbit_counts([ctx.z_gen]) == (q + 1, (q**3 - q) // (q + 1))
@@ -151,7 +151,7 @@ def test_orbit_counts_known_groups():
 def test_orbit_counts_burnside_random():
     rng = random.Random(31)
     for q in (3, 4, 5):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         for _ in range(8):
             sub = ctx.random_subgroup(rng)
             n1, n2 = sub.orbit_counts()
@@ -161,7 +161,7 @@ def test_orbit_counts_burnside_random():
 
 
 def test_tame_quotient_genus_known():
-    ctx = ml_context(4).structure()
+    ctx = ml_context(4)
     # H_4 has genus 6; the center C_5 fixes the 5 chord points on the curve
     zsub = Subgroup.from_closure(ctx, [ctx.z_gen])
     assert ctx.tame_quotient_genus(zsub.elements) == 0
@@ -175,7 +175,7 @@ def test_tame_quotient_genus_known():
 def test_tame_genus_matches_riemann_hurwitz_brute():
     rng = random.Random(41)
     for q in (3, 5):
-        ctx = ml_context(q).structure()
+        ctx = ml_context(q)
         gh = q * (q - 1) // 2
         for _ in range(10):
             sub = ctx.random_subgroup(rng)
@@ -187,13 +187,13 @@ def test_tame_genus_matches_riemann_hurwitz_brute():
 
 
 def test_closure_guard():
-    ctx = ml_context(4).structure()
+    ctx = ml_context(4)
     with pytest.raises(ValueError):
         closure(ctx.s_ell_gens, ctx.compose, ctx.identity, maxsize=10)
 
 
 def test_subgroup_det_preimage():
-    ctx = ml_context(4).structure()
+    ctx = ml_context(4)
     sub = DetPreimage(ctx, ctx.s_ell_gens + [ctx.z_gen])
     assert sub.order == ctx.order
     assert sub.n_orbits() == 2
@@ -203,7 +203,7 @@ def test_subgroup_det_preimage():
 
 
 def test_det_preimage_requires_s_ell_generators():
-    ctx = ml_context(5).structure()
+    ctx = ml_context(5)
     with pytest.raises(ValueError):
         DetPreimage(ctx, ctx.s_ell_gens[1:] + [ctx.z_gen])
     with pytest.raises(ValueError):
@@ -211,7 +211,7 @@ def test_det_preimage_requires_s_ell_generators():
 
 
 def test_det_image_and_center_intersection():
-    ctx = ml_context(5).structure()
+    ctx = ml_context(5)
     sub = Subgroup.from_closure(ctx, [ctx.z_gen])
     assert sub.det_image_order() == 3  # det of the center generator is a square
     assert sub.z_intersection_order() == 6
