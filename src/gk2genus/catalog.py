@@ -4,9 +4,12 @@ The subgroups of M_ell fall into a finite list of families, each a group
 shape with small integer parameters: subfield sizes, central orders, torus
 orders, triangle data.  enumerate_instances(q) lists every admissible
 (family, parameters) combination for q even or q = 1 (mod 4).  For q <= 25,
-instantiate(inst) builds the corresponding explicit subgroup and certifies
-its order together with family-specific structural markers; a recipe that
-fails to certify raises RecipeError instead of substituting something else.
+instantiate(inst) builds the corresponding explicit subgroup.  Each family's
+builder returns only its core generators; instantiate alone adds the central
+C_w, closes the group or takes its determinant preimage, and certifies the
+order together with the involution count of the quaternionic families.  A
+recipe that fails to certify raises RecipeError instead of substituting
+something else.
 Wild families carry closed-form (genus, orbit count) data so the spectrum
 engine can run where explicit groups are out of reach; tame families are
 evaluated through the group action directly.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from sympy import divisors
 from sympy.ntheory.residue_ntheory import n_order
@@ -211,15 +214,6 @@ def _center_gen(ctx, w):
     return ctx.power(ctx.z1_gen, base // w)
 
 
-def _closure_build(ctx, gens, expected, label):
-    sub = Subgroup.from_closure(ctx, gens, maxsize=4 * expected + 16, label=label)
-    if sub.order != expected:
-        raise RecipeError(
-            "%s closed to order %d, expected %d" % (label, sub.order, expected)
-        )
-    return sub
-
-
 def _involution_count(ctx, sub):
     return sum(1 for g in sub.elements if g != ctx.identity and ctx.power(g, 2) == ctx.identity)
 
@@ -298,9 +292,9 @@ def _a1_triples(n):
     for d in divisors(n):
         step = n // d
         for e in divisors(n):
-            for a_off in range(step):
-                if (e * a_off) % step == 0:
-                    out.append((d, e, a_off))
+            # the offsets with e * a_off = 0 (mod step)
+            for a_off in range(0, step, step // math.gcd(e, step)):
+                out.append((d, e, a_off))
     return out
 
 
@@ -351,38 +345,21 @@ def _subfield_sqrt(ctx, value):
 
 
 # -- family builders -------------------------------------------------------------
+#
+# A builder takes its family's parameters other than w and returns the core
+# generators; instantiate adds C_w, closes the group or takes its determinant
+# preimage, and certifies it.  A builder checks only its recipe: the
+# matrices, relations and elements it is built from.
 
 
-def _make_elementary_abelian(ctx, f, w):
-    gens = _invariant_elation_gens(ctx, ctx.identity, f)
-    if w > 1:
-        gens = gens + [_center_gen(ctx, w)]
-    return _closure_build(ctx, gens, 2**f * w, "elementary_abelian")
+def _make_elementary_abelian(ctx, f):
+    return _invariant_elation_gens(ctx, ctx.identity, f)
 
 
-def _make_sl2_subfield(ctx, k, w, label="sl2_subfield"):
-    p = ctx.p
-    core_order = p**k * (p ** (2 * k) - 1)
+def _make_sl2_subfield(ctx, k):
     if k == ctx.h:
-        return _s_ell_center_product(ctx, w, with_beta=False, label=label)
-    gens = [_det1_element(ctx, M) for M in _sl2_matrix_gens(ctx, k)]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    return _closure_build(ctx, gens, core_order * w, label)
-
-
-def _s_ell_center_product(ctx, w, with_beta, label):
-    """S_ell times the central C_w, optionally extended by the chord involution."""
-    gens = list(ctx.s_ell_gens)
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    if with_beta:
-        gens.append(ctx.beta)
-    return DetPreimage(ctx, gens, label=label)
-
-
-def _make_sl2_two(ctx, w):
-    return _make_sl2_subfield(ctx, 1, w, label="sl2_two")
+        return list(ctx.s_ell_gens)
+    return [_det1_element(ctx, M) for M in _sl2_matrix_gens(ctx, k)]
 
 
 def _chord_swap(ctx, square, conj_src, conj_dst):
@@ -395,59 +372,34 @@ def _chord_swap(ctx, square, conj_src, conj_dst):
     raise RecipeError("no chord swap satisfies the required relations")
 
 
-def _make_dihedral(ctx, w, t=None, d=None):
-    """Dihedral group with rotation order t (q even) or d (q odd), times C_w."""
-    t = t or d
-    rot = _torus_power(ctx, t)
-    refl = _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))
-    gens = [rot, refl]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    return _closure_build(ctx, gens, 2 * t * w, "dihedral")
+def _make_dihedral(ctx, t=None, d=None):
+    """Dihedral group with rotation order t (q even) or d (q odd)."""
+    rot = _torus_power(ctx, t or d)
+    return [rot, _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))]
 
 
-def _make_alt5(ctx, w):
-    return _make_sl2_subfield(ctx, 2, w, label="alt5")
-
-
-def _make_elation_semidirect(ctx, f, d, w, label="elation_semidirect"):
+def _make_elation_semidirect(ctx, f, d):
     delta = _torus_power(ctx, d)
-    gens = _invariant_elation_gens(ctx, delta, f) + [delta]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    return _closure_build(ctx, gens, 2**f * d * w, label)
+    return _invariant_elation_gens(ctx, delta, f) + [delta]
 
 
-def _make_alt4(ctx, w):
-    return _make_elation_semidirect(ctx, 2, 3, w, label="alt4")
-
-
-def _make_triangle_even(ctx, t, w):
+def _make_triangle_even(ctx, t):
     n = ctx.q + 1
-    gens = []
-    if t > 1:
-        gens.append(_a1_element(ctx, n // t, n - n // t))
-    if w > 1:
-        gens.append(_a1_element(ctx, n // w, n // w))
+    gens = [_a1_element(ctx, n // t, n - n // t)] if t > 1 else []
     sigma = (0, 1, 1)
     if not ctx.is_element(sigma):
         raise RecipeError("chord swap involution is not available")
-    gens.append(sigma)
-    return _closure_build(ctx, gens, 2 * t * w, "triangle")
+    return gens + [sigma]
 
 
 def _make_torus_cyclic(ctx, e):
-    g0 = _torus_power(ctx, e)
-    return Subgroup(ctx, [g0], ctx.cyclic_group(g0), label="torus_cyclic")
+    return [_torus_power(ctx, e)]
 
 
 def _make_diagonal(ctx, d, e, a):
     n = ctx.q + 1
-    pairs = _a1_pairs(n, d, e, a)
-    els = [_a1_element(ctx, i, j) for (i, j) in pairs]
-    gens = [g for g in (_a1_element(ctx, n // d, 0), _a1_element(ctx, a, n // e))
+    return [g for g in (_a1_element(ctx, n // d, 0), _a1_element(ctx, a, n // e))
             if g != ctx.identity]
-    return Subgroup(ctx, gens, els, label="diagonal")
 
 
 def _make_triangle_swap(ctx, d, e, a, t):
@@ -461,73 +413,45 @@ def _make_triangle_swap(ctx, d, e, a, t):
     j2 = (ctx.mu.index(s2[2]) - i2) % n
     if (i2, j2) not in pairs:
         raise RecipeError("swap square leaves the diagonal part")
-    gens = [g for g in (_a1_element(ctx, n // d, 0), _a1_element(ctx, a, n // e))
-            if g != ctx.identity]
-    gens.append(sigma)
-    return _closure_build(ctx, gens, 2 * d * e, "triangle_swap")
+    return _make_diagonal(ctx, d, e, a) + [sigma]
 
 
 def _make_point_stabilizer(ctx, mu, u):
-    gens = []
     if mu > 1:
-        delta = _torus_power(ctx, mu)
-        gens = _invariant_elation_gens(ctx, delta, u) + [delta]
-    else:
-        gens = _invariant_elation_gens(ctx, ctx.identity, u)
-    return _closure_build(ctx, gens, ctx.p**u * mu, "point_stabilizer")
+        return _make_elation_semidirect(ctx, f=u, d=mu)
+    return _invariant_elation_gens(ctx, ctx.identity, u)
 
 
-def _make_sl2_three(ctx, w):
-    mats = _sl2_three_matrices(ctx)
-    gens = [_det1_element(ctx, M) for M in mats]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    sub = _closure_build(ctx, gens, 24 * w, "sl2_three")
-    if _involution_count(ctx, sub) != 1:
-        raise RecipeError("sl2_three must contain exactly one involution")
-    return sub
+def _make_sl2_three(ctx):
+    return [_det1_element(ctx, M) for M in _sl2_three_matrices(ctx)]
 
 
-def _make_binary_octahedral(ctx, w):
+def _make_binary_octahedral(ctx):
     F = ctx.F
     iot = _quaternion_iota(ctx)
     r2 = _subfield_sqrt(ctx, F.add(1, 1))
     nu = ((F.div(F.add(1, iot), r2), 0), (0, F.div(F.sub(1, iot), r2)))
     mats = list(_sl2_three_matrices(ctx)) + [nu]
-    gens = [_det1_element(ctx, M) for M in mats]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    sub = _closure_build(ctx, gens, 48 * w, "binary_octahedral")
-    if _involution_count(ctx, sub) != 1:
-        raise RecipeError("binary_octahedral must contain exactly one involution")
-    return sub
+    return [_det1_element(ctx, M) for M in mats]
 
 
-def _make_gl2_three(ctx, w):
-    core_gens = [_det1_element(ctx, M) for M in _sl2_three_matrices(ctx)]
+def _make_gl2_three(ctx):
+    core_gens = _make_sl2_three(ctx)
     core = closure(core_gens, ctx.compose, ctx.identity, maxsize=64)
     if len(core) != 24:
         raise RecipeError("quaternionic core has wrong order")
-    ext = None
     for s in ctx.s_ell:
         g = ctx.compose(ctx.beta, s)
         if ctx.power(g, 2) not in core:
             continue
         if all(_conj(ctx, g, x) in core for x in core_gens):
-            ext = g
-            break
-    if ext is None:
-        raise RecipeError("no involution-coset extension of the quaternionic core")
-    gens = core_gens + [ext]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    sub = _closure_build(ctx, gens, 48 * w, "gl2_three")
-    if _involution_count(ctx, sub) != 13:
-        raise RecipeError("gl2_three must contain exactly thirteen involutions")
-    return sub
+            return core_gens + [g]
+    raise RecipeError("no involution-coset extension of the quaternionic core")
 
 
-def _make_sl2_five_char3(ctx, w):
+def _make_sl2_five(ctx):
+    if ctx.p != 3:
+        raise RecipeError("tame icosahedral subgroups exceed the explicit range")
     F = ctx.F
     iot = _quaternion_iota(ctx)
     half = F.inv(F.add(1, 1))
@@ -543,22 +467,10 @@ def _make_sl2_five_char3(ctx, w):
     )
     if _mdet(F, u_mat) != 1:
         raise RecipeError("icosahedral unit has wrong determinant")
-    gens = [_det1_element(ctx, M) for M in (i_mat, j_mat, u_mat)]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    sub = _closure_build(ctx, gens, 120 * w, "sl2_five")
-    if _involution_count(ctx, sub) != 1:
-        raise RecipeError("sl2_five must contain exactly one involution")
-    return sub
+    return [_det1_element(ctx, M) for M in (i_mat, j_mat, u_mat)]
 
 
-def _make_sl2_five(ctx, w):
-    if ctx.p == 3:
-        return _make_sl2_five_char3(ctx, w)
-    raise RecipeError("tame icosahedral subgroups exceed the explicit range")
-
-
-def _make_dicyclic(ctx, d, w):
+def _make_dicyclic(ctx, d):
     F, q = ctx.F, ctx.q
     gamma = F.pow(F.gen_code, (q * q - 1) // (2 * d))
     if ctx.frobq[gamma] != gamma:
@@ -567,22 +479,16 @@ def _make_dicyclic(ctx, d, w):
     tw = _det1_element(ctx, ((0, 1), (F.neg(1), 0)))
     if ctx.power(rot, d) != ctx.power(tw, 2) or _conj(ctx, tw, rot) != ctx.inverse(rot):
         raise RecipeError("dicyclic presentation fails")
-    gens = [rot, tw]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    return _closure_build(ctx, gens, 4 * d * w, "dicyclic")
+    return [rot, tw]
 
 
-def _make_hat_dicyclic(ctx, d, w):
+def _make_hat_dicyclic(ctx, d):
     alpha = _torus_power(ctx, 4 * d)
     xi = _chord_swap(ctx, ctx.power(alpha, 2 * d), alpha, ctx.power(alpha, 2 * d - 1))
-    gens = [alpha, xi]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    return _closure_build(ctx, gens, 8 * d * w, "hat_dicyclic")
+    return [alpha, xi]
 
 
-def _make_sl2_split_ext(ctx, k, w):
+def _make_sl2_split_ext(ctx, k):
     F, p = ctx.F, ctx.p
     sub2 = make_field(p, 2 * k)
     emb2 = embed_codes(sub2, F)
@@ -590,27 +496,22 @@ def _make_sl2_split_ext(ctx, k, w):
     if ctx.frobq[lam] != lam:
         raise RecipeError("splitting scalar left the q-subfield")
     nu = ((lam, 0), (0, F.inv(lam)))
-    mats = _sl2_matrix_gens(ctx, k) + [nu]
-    gens = [_det1_element(ctx, M) for M in mats]
-    if w > 1:
-        gens.append(_center_gen(ctx, w))
-    expected = 2 * p**k * (p ** (2 * k) - 1) * w
-    return _closure_build(ctx, gens, expected, "sl2_split_ext")
+    return [_det1_element(ctx, M) for M in _sl2_matrix_gens(ctx, k) + [nu]]
 
 
-def _make_unitary_pm(ctx, k, w):
+def _make_unitary_pm(ctx, k):
     if k != ctx.h:
         raise RecipeError("only the full-subfield unitary extension is constructed")
-    return _s_ell_center_product(ctx, w, with_beta=True, label="unitary_pm")
+    return list(ctx.s_ell_gens) + [ctx.beta]
 
 
 _BUILDERS = {
     "elementary_abelian": _make_elementary_abelian,
-    "sl2_two": _make_sl2_two,
+    "sl2_two": partial(_make_sl2_subfield, k=1),
     "sl2_subfield": _make_sl2_subfield,
     "dihedral": _make_dihedral,
-    "alt5": _make_alt5,
-    "alt4": _make_alt4,
+    "alt5": partial(_make_sl2_subfield, k=2),
+    "alt4": partial(_make_elation_semidirect, f=2, d=3),
     "elation_semidirect": _make_elation_semidirect,
     "triangle": _make_triangle_even,
     "torus_cyclic": _make_torus_cyclic,
@@ -626,6 +527,10 @@ _BUILDERS = {
     "sl2_split_ext": _make_sl2_split_ext,
     "unitary_pm": _make_unitary_pm,
 }
+
+# Involutions in each quaternionic family: a structural marker its order
+# alone does not fix.
+_INVOLUTIONS = {"sl2_three": 1, "binary_octahedral": 1, "gl2_three": 13, "sl2_five": 1}
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -786,11 +691,23 @@ def instantiate(inst):
             "explicit subgroups are only constructed for q <= %d" % SMALL_Q_LIMIT
         )
     ctx = ml_context(inst.q)
-    builder = _BUILDERS[inst.family]
-    sub = builder(ctx, **inst.param_dict)
+    params = inst.param_dict
+    w = params.pop("w", 1)
+    gens = _BUILDERS[inst.family](ctx, **params)
+    if w > 1:
+        gens.append(_center_gen(ctx, w))
+    if set(ctx.s_ell_gens) <= set(gens):
+        sub = DetPreimage(ctx, gens)
+    else:
+        sub = Subgroup.from_closure(ctx, gens, maxsize=4 * inst.order + 16)
     if sub.order != inst.order:
         raise RecipeError(
             "%s built order %d, expected %d" % (inst.label(), sub.order, inst.order)
+        )
+    involutions = _INVOLUTIONS.get(inst.family)
+    if involutions is not None and _involution_count(ctx, sub) != involutions:
+        raise RecipeError(
+            "%s must contain exactly %d involution(s)" % (inst.label(), involutions)
         )
     sub.label = inst.label()
     return sub

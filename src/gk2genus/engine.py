@@ -150,11 +150,11 @@ def _mismatch(inst, kind, formula_value, oracle_value):
 
 def _instance_data(inst, oracle_mode):
     """(g_bar, n_orbits, provenance) for one instance, or None to skip it."""
-    closed = inst.genus_orbits()
     if not oracle_mode:
-        if inst.tame or closed is None:
-            return None
-        return closed[0], closed[1], "formula"
+        # tame instances need the group action, so formula mode skips them
+        closed = None if inst.tame else inst.genus_orbits()
+        return None if closed is None else (closed[0], closed[1], "formula")
+    closed = inst.genus_orbits()
     sub = instantiate(inst)
     n_oracle = sub.n_orbits()
     if inst.tame:

@@ -64,11 +64,6 @@ def genus_upper_bound(q, n):
     return q**n * (q**n - 1) // 2
 
 
-def group_order_bound(q, n):
-    """Order of the full automorphism group, q (q^2 - 1)(q^n + 1)."""
-    return q * (q * q - 1) * (q**n + 1)
-
-
 # ---------------------------------------------------------------------------
 # Lifting rules.
 #
@@ -407,11 +402,10 @@ def sl2_split_ext_quotient(q, k, w):
     return _as_count(g, "genus"), _as_count(n, "orbit count")
 
 
-def unitary_pm_quotient(q, k, w, orbit_variant="adopted"):
+def unitary_pm_quotient(q, k, w):
     """Subfield SL(2, p^k) extended by a determinant minus-one element, times C_w.
 
-    Needs h/k odd.  The orbit count has a rejected variant kept only so the
-    consistency suite can demonstrate its failure; see ERRATA.
+    Needs h/k odd.
     """
     p, h = _odd_qhw(q, w)
     if k < 1 or h % k != 0 or (h // k) % 2 != 1:
@@ -430,16 +424,10 @@ def unitary_pm_quotient(q, k, w, orbit_variant="adopted"):
         + 2 * pk * (pk - 1) * (q + 1) * (a - 1)
     )
     g = 1 + Fraction(q * q - q - 2 - delta, 4 * pk * (pk * pk - 1) * w)
-    if orbit_variant == "adopted":
-        fixed_term = Fraction((q + 1) * a, (pk + 1) * w)
-    elif orbit_variant == "rejected":
-        fixed_term = Fraction((q + 1) * a, w)
-    else:
-        raise ValueError("unknown orbit_variant %r" % (orbit_variant,))
     n = (
         1
         + Fraction(q - pk, pk * (pk - 1) * (pk + 1))
-        + fixed_term
+        + Fraction((q + 1) * a, (pk + 1) * w)
         + Fraction((q * q - q - pk * (pk - 1)) * (q + 1), 2 * pk * (pk + 1) * (pk - 1) * w)
     )
     return _as_count(g, "genus"), _as_count(n, "orbit count")
@@ -464,6 +452,15 @@ def point_stabilizer_quotient(q, mu, u):
         + Fraction(d * (q - p**u), p**u * mu)
     )
     return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def unitary_pm_orbit_count_rejected(q, k, w):
+    """Rejected orbit-count variant: fixed term (q + 1) a / w; see ERRATA."""
+    _, adopted = unitary_pm_quotient(q, k, w)
+    pk = prime_power(q)[0] ** k
+    a = gcd(pk + 1, w)
+    # the adopted fixed term is (q + 1) a / ((p^k + 1) w); add the difference
+    return _as_count(adopted + Fraction((q + 1) * a * pk, (pk + 1) * w), "orbit count")
 
 
 def sl2_five_orbit_count_rejected(q, w):

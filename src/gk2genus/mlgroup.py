@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from sympy import factorint
 
-from .gf import embed_codes, make_field, roots_of_unity
+from .gf import _NP_TABLE_LIMIT, embed_codes, make_field, roots_of_unity
 from .hermitian import hermitian_points, is_isotropic, normalize_point, polar_line
 
 ML_CLOSURE_LIMIT = 2**22
@@ -76,6 +76,11 @@ class MlContext:
     """
 
     def __init__(self, q):
+        if q * q > _NP_TABLE_LIMIT:
+            raise ValueError(
+                "q=%d is too large: M_ell needs dense GF(q^2) tables, so q <= %d"
+                % (q, math.isqrt(_NP_TABLE_LIMIT))
+            )
         self.q = q
         self.pts = hermitian_points(q)
         self.p, self.h = self.pts.p, self.pts.h
@@ -419,19 +424,19 @@ def ml_context(q):
 class Subgroup:
     """A subgroup of M_ell: generators plus its sorted element list."""
 
-    def __init__(self, ctx, gens, elements, label=""):
+    def __init__(self, ctx, gens, elements):
         self.ctx = ctx
         self.gens = list(gens)
         self._members = frozenset(elements)
         self.elements = sorted(self._members)
         self.order = len(self.elements)
-        self.label = label
+        self.label = ""
         self._orbits = None
 
     @classmethod
-    def from_closure(cls, ctx, gens, maxsize=ML_CLOSURE_LIMIT, label=""):
+    def from_closure(cls, ctx, gens, maxsize=ML_CLOSURE_LIMIT):
         els = closure(gens, ctx.compose, ctx.identity, maxsize=maxsize)
-        return cls(ctx, gens, els, label=label)
+        return cls(ctx, gens, els)
 
     def __contains__(self, g):
         return g in self._members
@@ -477,13 +482,13 @@ class DetPreimage(Subgroup):
     gens.  The elements are not materialized.
     """
 
-    def __init__(self, ctx, gens, label=""):
+    def __init__(self, ctx, gens):
         if not set(ctx.s_ell_gens) <= set(gens):
             raise ValueError("a determinant preimage needs the S_ell generators")
         self.ctx = ctx
         self.gens = list(gens)
         self.elements = None
-        self.label = label
+        self.label = ""
         self._orbits = None
         d = self.det_image_order()
         self._dets = frozenset(t for t in ctx.mu if ctx.F.pow(t, d) == 1)

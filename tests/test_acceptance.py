@@ -191,7 +191,7 @@ def test_criterion_3_formula_vs_oracle_orbits(oracle_sweep):
     assert formulas.sl2_two_orbit_count_rejected(8, 9) == 57 != n_two == 12
     refuted += 1
     n_upm = by_label["unitary_pm[q=9,k=2,w=1]"]
-    assert formulas.unitary_pm_quotient(9, 2, 1, "rejected")[1] == 11 != n_upm == 2
+    assert formulas.unitary_pm_orbit_count_rejected(9, 2, 1) == 11 != n_upm == 2
     refuted += 1
     n_five = by_label["sl2_five[q=9,w=1]"]
     assert formulas.sl2_five_orbit_count_rejected(9, 1) == 49 != n_five == 7

@@ -3,9 +3,10 @@
 import pytest
 from sympy import divisors
 
-from gk2genus import formulas
+from gk2genus import catalog, formulas
 from gk2genus.catalog import (
     FamilyInstance,
+    RecipeError,
     enumerate_instances,
     instantiate,
     s_of,
@@ -285,3 +286,28 @@ def test_torus_cyclic_complements_diagonal():
         # the two families each cyclic torus order is represented
         diag_orders = {inst.order for inst in _by_family(q, "diagonal")}
         assert diag_orders >= {int(d) for d in divisors(q + 1)}
+
+
+@pytest.fixture
+def fresh_instantiate():
+    # the tests below change what instantiate builds, so no cached subgroup
+    # may leak into them or out of them
+    instantiate.cache_clear()
+    yield
+    instantiate.cache_clear()
+
+
+def test_instantiate_certifies_the_order(fresh_instantiate, monkeypatch):
+    # without its order-3 generator, SL(2,3) shrinks to the quaternion group Q8
+    build = catalog._BUILDERS["sl2_three"]
+    monkeypatch.setitem(catalog._BUILDERS, "sl2_three", lambda ctx: build(ctx)[:2])
+    inst = [i for i in _by_family(5, "sl2_three") if i.param("w") == 1][0]
+    with pytest.raises(RecipeError, match=r"sl2_three\[q=5,w=1\] built order 8"):
+        instantiate(inst)
+
+
+def test_instantiate_certifies_the_involution_count(fresh_instantiate, monkeypatch):
+    monkeypatch.setitem(catalog._INVOLUTIONS, "sl2_three", 2)
+    inst = [i for i in _by_family(5, "sl2_three") if i.param("w") == 1][0]
+    with pytest.raises(RecipeError, match="involution"):
+        instantiate(inst)

@@ -81,6 +81,13 @@ def test_classify_rejects_a_field_above_the_size_limit(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_classify_names_a_q_past_the_dense_table_bound(capsys):
+    # GF(37^2) is a valid field, but M_ell needs dense tables: q <= 32
+    assert main(["classify", "--q", "37"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q=37" in err
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--q", "4"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -192,7 +192,7 @@ def test_unitary_pm_quotient_values_and_erratum():
     info = fm.ERRATA["unitary_pm_orbit_count"]
     q, k, w = info["witness"]["q"], info["witness"]["k"], info["witness"]["w"]
     _, adopted = fm.unitary_pm_quotient(q, k, w)
-    _, rejected = fm.unitary_pm_quotient(q, k, w, orbit_variant="rejected")
+    rejected = fm.unitary_pm_orbit_count_rejected(q, k, w)
     assert adopted == info["witness"]["adopted_n"]
     assert rejected == info["witness"]["rejected_n"]
     # The group contains the full special subgroup, which already acts
