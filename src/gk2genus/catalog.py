@@ -709,7 +709,6 @@ def instantiate(inst):
         raise RecipeError(
             "%s must contain exactly %d involution(s)" % (inst.label(), involutions)
         )
-    sub.label = inst.label()
     return sub
 
 

@@ -8,9 +8,10 @@ elements are triples (a, c, t) of GF(q^2) codes standing for the matrix
      [c, t*a^q, 0],
      [0, 0,     1]]    with  a^(q+1) - c^(q+1) = 1,  t^(q+1) = 1.
 
-The tower group Aut(K_n) has elements (a, c, xi) with xi in mu_(q^n+1)
-inside GF(q^(2n)); it projects onto M_ell by xi -> xi^m with
-m = (q^n+1)/(q+1), with central kernel C_m.
+The tower group Aut(K_n) has elements (a, c, k), where k is the exponent
+of xi = zeta^k in mu_(q^n+1) over a fixed generator zeta with zeta^m = eps
+and m = (q^n+1)/(q+1).  It projects onto M_ell by xi -> xi^m = eps^k, with
+central kernel C_m; no field GF(q^(2n)) is built.
 
 MlContext(q) carries the curve points, dense lookup tables, the standard
 subgroup inventory (center Z, commutator S_ell, elation group, the cyclic
@@ -30,17 +31,16 @@ from functools import lru_cache
 import numpy as np
 from sympy import factorint
 
-from .gf import _NP_TABLE_LIMIT, embed_codes, make_field, roots_of_unity
+from .formulas import m_of
+from .gf import _NP_TABLE_LIMIT, roots_of_unity
 from .hermitian import hermitian_points, is_isotropic, normalize_point, polar_line
 
 ML_CLOSURE_LIMIT = 2**22
 
 
-def closure(gens, mul, identity=None, maxsize=ML_CLOSURE_LIMIT):
+def closure(gens, mul, identity, maxsize=ML_CLOSURE_LIMIT):
     """Breadth-first closure of hashable elements under an associative mul."""
-    els = set(gens)
-    if identity is not None:
-        els.add(identity)
+    els = {identity, *gens}
     bdy = list(els)
     gens = list(gens)
     while bdy:
@@ -410,10 +410,10 @@ class MlContext:
         a, c, _ = rng.choice(self.s_ell)
         return (a, c, rng.choice(self.mu))
 
-    def random_subgroup(self, rng, maxsize=ML_CLOSURE_LIMIT):
+    def random_subgroup(self, rng):
         g1 = self.random_element(rng)
         g2 = self.random_element(rng)
-        return Subgroup.from_closure(self, [g1, g2], maxsize=maxsize)
+        return Subgroup.from_closure(self, [g1, g2])
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +430,6 @@ class Subgroup:
         self._members = frozenset(elements)
         self.elements = sorted(self._members)
         self.order = len(self.elements)
-        self.label = ""
         self._orbits = None
 
     @classmethod
@@ -488,7 +487,6 @@ class DetPreimage(Subgroup):
         self.ctx = ctx
         self.gens = list(gens)
         self.elements = None
-        self.label = ""
         self._orbits = None
         d = self.det_image_order()
         self._dets = frozenset(t for t in ctx.mu if ctx.F.pow(t, d) == 1)
@@ -502,69 +500,53 @@ class DetPreimage(Subgroup):
 
 
 class KnContext:
-    """Aut(K_n) for the tower field K_n over GF(q^(2n)), n odd."""
+    """Aut(K_n) for the tower field K_n over GF(q^(2n)), n odd.
+
+    An element (a, c, k) stands for xi = zeta^k in mu_N, N = q^n + 1, over a
+    fixed generator zeta of mu_N with zeta^m = eps = mu[1].  Then xi^m =
+    eps^k, so pi sends k to tau = mu[k mod (q+1)] and C_m = ker(pi) is the
+    set of k divisible by q + 1; no field GF(q^(2n)) is built.  The product
+    is the M_ell product of the pi-images, with the exponents added mod N.
+    """
 
     def __init__(self, q, n):
-        if n < 1 or n % 2 == 0:
-            raise ValueError("n must be odd and positive")
+        self.m = m_of(q, n)
         self.ml = ml_context(q)
         self.q = q
         self.n = n
-        self.p, self.h = self.ml.p, self.ml.h
-        self.F2 = self.ml.F
-        self.FB = make_field(self.p, 2 * self.h * n)
-        self.m = (q**n + 1) // (q + 1)
-        self.mu_big = [e.code for e in roots_of_unity(self.FB, q**n + 1)]
-        self.mu_m_set = frozenset(
-            e.code for e in roots_of_unity(self.FB, self.m)
-        )
-        # pull xi^m back to the small field along the canonical embedding
-        emb = embed_codes(self.F2, self.FB)
-        back = {big: small for small, big in enumerate(emb)}
-        self.tau_of = {}
-        for xi in self.mu_big:
-            tau_big = self.FB.pow(xi, self.m)
-            self.tau_of[xi] = back[tau_big]
-        self.identity = (1, 0, 1)
-        self.order = (q**3 - q) * (q**n + 1)
+        self.N = q**n + 1
+        self.identity = (1, 0, 0)
+        self.order = (q**3 - q) * self.N
 
     def compose(self, g1, g2):
-        a1, c1, x1 = g1
-        a2, c2, x2 = g2
-        F = self.F2
-        t1 = self.tau_of[x1]
-        u = F.mul(t1, self.ml.frobq[c1])
-        v = F.mul(t1, self.ml.frobq[a1])
-        return (
-            F.add(F.mul(a1, a2), F.mul(u, c2)),
-            F.add(F.mul(c1, a2), F.mul(v, c2)),
-            self.FB.mul(x1, x2),
-        )
+        a, c, _ = self.ml.compose(self.pi(g1), self.pi(g2))
+        return (a, c, (g1[2] + g2[2]) % self.N)
 
     def inverse(self, g):
-        a, c, x = g
-        F = self.F2
-        xin = self.FB.inv(x)
-        tin = self.tau_of[xin]
-        return (self.ml.frobq[a], F.neg(F.mul(c, tin)), xin)
+        a, c, _ = self.ml.inverse(self.pi(g))
+        return (a, c, -g[2] % self.N)
+
+    def tau(self, k):
+        """The determinant xi^m = eps^k of pi at xi = zeta^k; 1 exactly on mu_m."""
+        return self.ml.mu[k % (self.q + 1)]
 
     def pi(self, g):
         """Restriction to the Hermitian subfield: an M_ell element."""
-        a, c, x = g
-        return (a, c, self.tau_of[x])
+        a, c, k = g
+        return (a, c, self.tau(k))
 
     def rho(self, g):
-        """The top-right diagonal entry: the mu_(q^n+1) character."""
+        """The exponent k of the mu_(q^n+1) character xi = zeta^k."""
         return g[2]
 
     def iter_elements(self):
         for a, c, _ in self.ml.s_ell:
-            for x in self.mu_big:
-                yield (a, c, x)
+            for k in range(self.N):
+                yield (a, c, k)
 
     def c_m_elements(self):
-        """The central kernel of pi: (1, 0, xi) with xi^m = 1."""
-        return [(1, 0, x) for x in sorted(self.mu_m_set)]
+        """The central kernel of pi: (1, 0, k) with zeta^(k m) = 1."""
+        return [(1, 0, k) for k in range(0, self.N, self.q + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -580,14 +562,14 @@ class TripleSpec:
     n: int
     r: int  # |L0|, the order of the character image
     s: int  # |L0^m|, the number of cosets needed
-    l0: frozenset  # character image inside mu_(q^n+1)
+    l0: frozenset  # character image inside mu_(q^n+1), as exponents mod N
     l1: frozenset  # the subgroup meeting S_ell x C_m
     bar_l: frozenset  # image in M_ell
 
 
 def _check_triple_identities(kn, l0, l1, bar_l):
-    l0m = {kn.FB.pow(x, kn.m) for x in l0}
-    tau_back = {kn.tau_of[x] for x in l0}
+    l0m = {k * kn.m % kn.N for k in l0}
+    tau_back = {kn.tau(k) for k in l0}
     bar_dets = {g[2] for g in bar_l}
     if tau_back != bar_dets:
         raise AssertionError("determinant image of bar L differs from L0^m")
@@ -596,7 +578,7 @@ def _check_triple_identities(kn, l0, l1, bar_l):
     if pi_l1 != bar_in_s:
         raise AssertionError("pi(L1) is not bar L meet S_ell")
     rho_l1 = {g[2] for g in l1}
-    if rho_l1 != (set(l0) & kn.mu_m_set):
+    if rho_l1 != {k for k in l0 if kn.tau(k) == 1}:
         raise AssertionError("rho(L1) is not L0 meet mu_m")
     return len(l0m)
 
@@ -604,7 +586,7 @@ def _check_triple_identities(kn, l0, l1, bar_l):
 def triple_of(kn, elements):
     """Decompose a subgroup of Aut(K_n) into its defining triple."""
     l0 = frozenset(kn.rho(g) for g in elements)
-    l1 = frozenset(g for g in elements if kn.rho(g) in kn.mu_m_set)
+    l1 = frozenset(g for g in elements if kn.tau(kn.rho(g)) == 1)
     bar_l = frozenset(kn.pi(g) for g in elements)
     s = _check_triple_identities(kn, l0, l1, bar_l)
     r = len(l0)
@@ -620,24 +602,22 @@ def group_from_triple(kn, spec):
     if s != spec.s or len(l0) != spec.r:
         raise ValueError("triple spec is inconsistent with its own data")
     center_part = {g for g in l1 if (g[0], g[1]) == (1, 0)}
-    wanted = {(1, 0, x) for x in (set(l0) & kn.mu_m_set)}
+    wanted = {(1, 0, k) for k in l0 if kn.tau(k) == 1}
     if center_part != wanted:
         raise ValueError("L1 does not meet the central kernel in L0 meet mu_m")
-    # eta: canonical generator of the cyclic group L0
+    # eta: canonical generator of the cyclic group L0; zeta^k has order N / gcd(k, N)
     r = spec.r
-    gens = [x for x in sorted(l0) if (x == 1 and r == 1) or kn.FB.order_of(x) == r]
+    gens = [k for k in sorted(l0) if kn.N // math.gcd(k, kn.N) == r]
     if not gens:
         raise ValueError("L0 has no generator of order r")
     eta = gens[0]
     reps = [kn.identity]
-    target = 1
     for i in range(1, s):
-        target = kn.FB.mul(target, eta)
-        found = None
-        for g in kn.iter_elements():
-            if kn.rho(g) == target and kn.pi(g) in bar_l:
-                found = g
-                break
+        target = i * eta % kn.N
+        tau = kn.tau(target)
+        found = next(
+            ((a, c, target) for a, c, _ in kn.ml.s_ell if (a, c, tau) in bar_l), None
+        )
         if found is None:
             raise AssertionError("no coset representative with the prescribed character")
         reps.append(found)
@@ -652,7 +632,7 @@ def group_from_triple(kn, spec):
         raise AssertionError("reconstructed group has wrong image in M_ell")
     if {kn.rho(g) for g in out} != set(l0):
         raise AssertionError("reconstructed group has wrong character image")
-    if {g for g in out if kn.rho(g) in kn.mu_m_set} != set(l1):
+    if {g for g in out if kn.tau(kn.rho(g)) == 1} != set(l1):
         raise AssertionError("reconstructed group has wrong L1")
     _certify_closed(kn, out)
     return out

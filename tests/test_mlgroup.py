@@ -6,6 +6,8 @@ from collections import Counter
 
 import pytest
 
+from gk2genus.gf import embed_codes, make_field, roots_of_unity
+from gk2genus.golden import GOLDEN_ROWS
 from gk2genus.mlgroup import (
     DetPreimage,
     Subgroup,
@@ -228,7 +230,7 @@ def test_kn_group_order_and_pi():
         assert kn.m == (q**n + 1) // (q + 1)
         ims = {kn.pi(g) for g in els}
         assert len(ims) == kn.ml.order
-        ker = {g for g in els if kn.pi(g) == kn.identity}
+        ker = {g for g in els if kn.pi(g) == kn.ml.identity}
         assert ker == set(kn.c_m_elements())
         assert len(ker) == kn.m
 
@@ -242,8 +244,56 @@ def test_kn_pi_rho_homomorphisms():
             g1, g2 = rng.choice(els), rng.choice(els)
             g12 = kn.compose(g1, g2)
             assert kn.pi(g12) == kn.ml.compose(kn.pi(g1), kn.pi(g2))
-            assert kn.rho(g12) == kn.FB.mul(kn.rho(g1), kn.rho(g2))
+            assert kn.rho(g12) == (kn.rho(g1) + kn.rho(g2)) % kn.N
             assert kn.compose(g1, kn.inverse(g1)) == kn.identity
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 5), (4, 3), (5, 3)])
+def test_kn_exponents_match_the_field_model(q, n):
+    # the field model: xi in mu_(q^n+1) inside GF(q^(2n)), and pi takes xi to
+    # xi^m pulled back along the canonical embedding of GF(q^2)
+    kn = kn_context(q, n)
+    F2 = kn.ml.F
+    FB = make_field(F2.p, F2.k * n)
+    emb = embed_codes(F2, FB)
+    N = q**n + 1
+    zeta = next(
+        z.code for z in roots_of_unity(FB, N)
+        if FB.order_of(z.code) == N and FB.pow(z.code, kn.m) == emb[kn.ml.eps]
+    )
+    xi = 1
+    for k in range(N):
+        tau = kn.ml.mu[k % (q + 1)]
+        assert FB.pow(xi, kn.m) == emb[tau]
+        assert kn.pi((1, 0, k)) == (1, 0, tau)
+        xi = FB.mul(xi, zeta)
+    assert xi == 1
+
+
+@pytest.mark.parametrize("q, n", sorted(GOLDEN_ROWS))
+def test_kn_context_builds_at_every_golden_row(q, n):
+    kn = kn_context(q, n)
+    ml = kn.ml
+    rng = random.Random(1000 * q + n)
+
+    def random_element():
+        a, c, _ = rng.choice(ml.s_ell)
+        return (a, c, rng.randrange(kn.N))
+
+    for _ in range(50):
+        g1, g2 = random_element(), random_element()
+        g12 = kn.compose(g1, g2)
+        assert kn.pi(g12) == ml.compose(kn.pi(g1), kn.pi(g2))
+        assert kn.rho(g12) == (kn.rho(g1) + kn.rho(g2)) % kn.N
+        assert kn.compose(g1, kn.inverse(g1)) == kn.identity
+    cm = kn.c_m_elements()
+    assert len(set(cm)) == len(cm) == kn.m
+    assert all(kn.pi(g) == ml.identity for g in cm)
+    if (q, n) in ((4, 5), (5, 3)):
+        for _ in range(3):
+            sub = closure([random_element(), random_element()], kn.compose, kn.identity)
+            spec = triple_of(kn, sub)
+            assert group_from_triple(kn, spec) == sub
 
 
 def test_triple_of_full_group():
