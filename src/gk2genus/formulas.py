@@ -14,9 +14,15 @@ inconsistent, or when an expression that has to be an integer is not one.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from sympy import divisors, factorint
+from sympy import factorint, isprime
+
+# Trial-division bound handed to sympy.factorint when factoring m; factorint
+# also scales its rho and p-1 effort to it, so the budget is a fixed amount
+# of work, not a time.
+FACTOR_LIMIT = 2**20
 
 
 def prime_power(q):
@@ -140,10 +146,31 @@ def candidate_cm_orders(q, n, s):
     admissible set and are certainly realized; the remaining candidates are
     reported for reference tables but carry no construction guarantee.
     """
-    m = m_of(q, n)
     _check_divisor(s, q + 1, "s")
     big = q**n + 1
-    return [int(d) for d in sorted(divisors(m)) if big % (s * int(d)) == 0]
+    return [d for d in divisors_of_m(q, n) if big % (s * d) == 0]
+
+
+@lru_cache(maxsize=None)
+def divisors_of_m(q, n):
+    """The divisors of m = (q^n + 1)/(q + 1) in increasing order.
+
+    m is factored once per (q, n) within FACTOR_LIMIT; a cofactor that the
+    budget leaves composite raises ValueError instead of factoring on.
+    """
+    m = m_of(q, n)
+    fact = factorint(m, limit=FACTOR_LIMIT)
+    for f in fact:
+        if f > FACTOR_LIMIT and not isprime(f):
+            raise ValueError(
+                "cannot factor m = (q^n+1)/(q+1) for q=%d, n=%d: a %d-bit "
+                "cofactor is left composite by the factoring budget"
+                % (q, n, f.bit_length())
+            )
+    divs = [1]
+    for f, e in fact.items():
+        divs = [d * f**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
 
 
 # ---------------------------------------------------------------------------

@@ -86,41 +86,52 @@ class HermitianPointSet:
         fiber = {}
         for yc in range(F.card):
             fiber.setdefault(F.pow(yc, q + 1), []).append(yc)
-        for xc in range(F.card):
+        card = F.card
+        # Index tables, one row per last coordinate z: a point (x, y, z) has
+        # index base[z, x] + offset[z, y].  A chord point (x:1:0) is found by
+        # x alone; the affine points with first coordinate x follow the order
+        # built below, so base[1, x] is the first of them and offset[1, y] is
+        # the rank of y in its norm fiber.  A triple is a curve point iff
+        # key[z, y] == want[z, x]: y == 1 with x^(q+1) == 1 on the chord,
+        # y^(q+1) == x^(q+1) - 1 off it.
+        base = np.full((2, card), -1, dtype=np.intp)
+        offset = np.zeros((2, card), dtype=np.intp)
+        key = np.zeros((2, card), dtype=np.intp)
+        want = np.full((2, card), -1, dtype=np.intp)
+        key[0] = np.arange(card)
+        for i, (xc, _, _) in enumerate(pts):
+            base[0, xc] = i
+            want[0, xc] = 1
+        for v, ys in fiber.items():
+            for r, yc in enumerate(ys):
+                offset[1, yc] = r
+                key[1, yc] = v
+        for xc in range(card):
             v = F.sub(F.pow(xc, q + 1), 1)
+            base[1, xc] = len(pts)
+            want[1, xc] = v
             for yc in fiber.get(v, ()):
                 pts.append((xc, yc, 1))
         self.points = pts
         self.index = {pt: i for i, pt in enumerate(pts)}
-        card = F.card
-        arr = np.array(pts, dtype=np.int64)
-        X, Y, Z = arr[:, 0], arr[:, 1], arr[:, 2]
-        keys = (X * card + Y) * card + Z
-        order = np.argsort(keys, kind="stable")
-        self._np = (
-            X.astype(np.int32),
-            Y.astype(np.int32),
-            Z.astype(np.int32),
-            keys[order],
-            order.astype(np.int64),
-        )
+        self._tables = (base.ravel(), offset.ravel(), key.ravel(), want.ravel())
+        self._np = tuple(np.array(pts, dtype=np.int32).T.copy())
 
     def __len__(self):
         return len(self.points)
 
     def np_coords(self):
-        """(X, Y, Z, sorted_keys, sorted_to_index) arrays for vectorized orbit work."""
+        """(X, Y, Z) coordinate arrays for vectorized orbit work."""
         return self._np
 
     def lookup(self, xa, ya, za):
         """Vectorized point index lookup from normalized coordinate arrays."""
-        X, Y, Z, keys, order = self.np_coords()
-        card = self.F.card
-        wanted = (xa.astype(np.int64) * card + ya) * card + za
-        pos = np.searchsorted(keys, wanted)
-        if np.any(keys[pos] != wanted):
+        base, offset, key, want = self._tables
+        row = za * self.F.card
+        xr, yr = row + xa, row + ya
+        if not np.array_equal(key[yr], want[xr]):
             raise KeyError("some coordinates are not curve points")
-        return order[pos]
+        return base[xr] + offset[yr]
 
 
 @lru_cache(maxsize=None)

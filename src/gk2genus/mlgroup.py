@@ -57,6 +57,21 @@ def closure(gens, mul, identity, maxsize=ML_CLOSURE_LIMIT):
     return els
 
 
+def _cycle_minima(perm):
+    """For each index, the smallest index on its cycle of perm.
+
+    Pointer doubling: after k rounds m[i] is the minimum over i, perm(i),
+    ..., perm^(2^k - 1)(i), so about log2(longest cycle) rounds suffice.
+    Once a round changes nothing, every window already covers its cycle.
+    """
+    m = np.arange(len(perm))
+    while True:
+        lower = np.minimum(m, m[perm])
+        if np.array_equal(lower, m):
+            return m
+        m, perm = lower, perm[perm]
+
+
 @dataclass(frozen=True)
 class ElementType:
     """Fixed-point geometry of a nonidentity element."""
@@ -102,7 +117,7 @@ class MlContext:
         self.ADD = F.np_add_table()
         self.INV = F.np_pow_vec(-1)
         self.SQ = F.np_pow_vec(2)
-        self.X, self.Y, self.Z, _, _ = self.pts.np_coords()
+        self.X, self.Y, self.Z = self.pts.np_coords()
         self._ensure_structure()
 
     # -- element operations -------------------------------------------------
@@ -221,26 +236,34 @@ class MlContext:
         return int(np.count_nonzero((Xi == self.X) & (Yi == self.Y)))
 
     def orbit_counts(self, gens):
-        """(chord orbits, affine orbits) of the subgroup generated by gens."""
-        n = len(self.pts)
-        parent = list(range(n))
+        """(chord orbits, affine orbits) of the subgroup generated by gens.
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        Each generator labels its cycles by their smallest point index; the
+        orbits are the connected components of the union of those cycle
+        partitions, merged in one generator at a time (so memory stays
+        O(points) however many generators there are) by min-label hooking
+        and pointer jumping.
+        """
+        ids = np.arange(len(self.pts))
+        lab = ids.copy()  # every label is a root: lab[lab] == lab
         for g in gens:
-            P = self.perm_of(g)
-            for i in range(n):
-                ri, rj = find(i), find(int(P[i]))
-                if ri != rj:
-                    parent[ri] = rj
+            # one edge i -- m(i) per point, m(i) the minimum of its g-cycle
+            tails, heads = ids, _cycle_minima(self.perm_of(g))
+            while tails.size:
+                a, b = lab[tails], lab[heads]
+                split = a != b
+                tails, heads, a, b = tails[split], heads[split], a[split], b[split]
+                # hook the larger root of each split edge under the smaller
+                # one; every write lowers a root, whichever of several wins
+                lab[np.maximum(a, b)] = np.minimum(a, b)
+                while True:
+                    jumped = lab[lab]
+                    if np.array_equal(jumped, lab):
+                        break
+                    lab = jumped
+        roots = lab == ids
         nch = self.pts.chord_count
-        chord = {find(i) for i in range(nch)}
-        affine = {find(i) for i in range(nch, n)}
-        return len(chord), len(affine)
+        return int(np.count_nonzero(roots[:nch])), int(np.count_nonzero(roots[nch:]))
 
     # -- element classification -----------------------------------------------
 

@@ -88,6 +88,14 @@ def test_classify_names_a_q_past_the_dense_table_bound(capsys):
     assert err.startswith("error: ") and "q=37" in err
 
 
+def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys):
+    # m = (4^151 + 1)/5 has 300 bits; the factoring budget leaves it composite
+    assert main(["spectrum", "--q", "4", "--n", "151"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q=4, n=151" in err
+    assert "Traceback" not in err
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--q", "4"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -85,6 +85,15 @@ def test_admissible_cm_orders():
         assert fm.admissible_cm_orders(4, 7, s) == divisors(fm.m_of(4, 7))
 
 
+def test_divisors_of_m_match_sympy_on_the_pinned_rows():
+    from sympy import divisors as sympy_divisors
+
+    rows = [(4, 5), (4, 7), (5, 3), (5, 5), (5, 7), (9, 7), (13, 5), (25, 3)]
+    rows += [(2**20, n) for n in (3, 5, 7)]
+    for q, n in rows:
+        assert list(fm.divisors_of_m(q, n)) == sympy_divisors(fm.m_of(q, n))
+
+
 def test_elementary_abelian_quotient_values():
     assert fm.elementary_abelian_quotient(4, 1, 1) == (2, 33)
     assert fm.elementary_abelian_quotient(4, 2, 1) == (0, 17)

@@ -150,6 +150,66 @@ def test_orbit_counts_known_groups():
         assert ctx.orbit_counts([ctx.z_gen]) == (q + 1, (q**3 - q) // (q + 1))
 
 
+def _bfs_orbit_counts(ctx, gens):
+    """(chord orbits, affine orbits) by breadth-first search over perm_of."""
+    perms = [ctx.perm_of(g).tolist() for g in gens]
+    n, nch = len(ctx.pts), ctx.pts.chord_count
+    seen = [False] * n
+    counts = [0, 0]
+    for start in range(n):
+        if seen[start]:
+            continue
+        counts[start >= nch] += 1
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for P in perms:
+                    j = P[i]
+                    if not seen[j]:
+                        seen[j] = True
+                        nxt.append(j)
+            frontier = nxt
+    return tuple(counts)
+
+
+def test_perm_of_matches_apply():
+    rng = random.Random(17)
+    for q in (4, 9):
+        ctx = ml_context(q)
+        for _ in range(5):
+            g = ctx.random_element(rng)
+            expected = [ctx.pts.index[ctx.apply(g, pt)] for pt in ctx.pts.points]
+            assert ctx.perm_of(g).tolist() == expected
+
+
+def test_orbit_counts_match_bfs_on_catalog_instances():
+    from gk2genus.catalog import enumerate_instances, instantiate
+
+    for q in (4, 5, 9, 13):
+        ctx = ml_context(q)
+        for inst in enumerate_instances(q):
+            gens = instantiate(inst).gens
+            assert ctx.orbit_counts(gens) == _bfs_orbit_counts(ctx, gens), inst.label()
+
+
+def test_orbit_counts_match_bfs_on_random_generators_at_q25():
+    ctx = ml_context(25)
+    rng = random.Random(41)
+    for _ in range(24):
+        gens = [ctx.random_element(rng) for _ in range(rng.randint(1, 3))]
+        assert ctx.orbit_counts(gens) == _bfs_orbit_counts(ctx, gens)
+
+
+def test_orbit_counts_on_the_longest_cycles_and_on_no_generators():
+    q = 25
+    ctx = ml_context(q)
+    # the torus generator has order q^2 - 1 = 624 and cycles of that length
+    assert ctx.orbit_counts([ctx.torus_gen]) == _bfs_orbit_counts(ctx, [ctx.torus_gen])
+    assert ctx.orbit_counts([]) == (q + 1, q**3 - q)
+
+
 def test_orbit_counts_burnside_random():
     rng = random.Random(31)
     for q in (3, 4, 5):
