@@ -8,14 +8,12 @@ curve (hermitian), the automorphism groups acting on it and on the GK tower
 (cli).
 """
 
-from .gf import FFElem, FieldCtx, embed, make_field, roots_of_unity
+from .gf import FieldCtx, make_field, roots_of_unity
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FFElem",
     "FieldCtx",
-    "embed",
     "make_field",
     "roots_of_unity",
     "__version__",

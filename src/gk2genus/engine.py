@@ -183,6 +183,7 @@ def spectrum(q, n):
     The returned report is cached and shared; treat it as read-only.
     """
     m = formulas.m_of(q, n)
+    formulas.divisors_of_m(q, n)  # reject an m the budget cannot factor before any instance
     instances = enumerate_instances(q)
     oracle_mode = q <= SMALL_Q_LIMIT
     mode = "oracle" if oracle_mode else "formula"

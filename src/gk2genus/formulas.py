@@ -25,6 +25,7 @@ from sympy import factorint, isprime
 FACTOR_LIMIT = 2**20
 
 
+@lru_cache(maxsize=None)
 def prime_power(q):
     """Split a prime power q = p^h into (p, h)."""
     fact = factorint(q)

@@ -1,20 +1,21 @@
 """Exact arithmetic in small finite fields GF(p^k).
 
-Elements are integer codes: the code of c0 + c1*x + ... is sum(ci * p^i).
-Every canonical choice (modulus, primitive element, embedding root) uses
-one rule: smallest candidate in coefficient-lex order, coefficients
-compared low-degree first.  Fields have at most 2^15 elements, and every
-field is tabled at construction: exp/log arrays over the canonical
-generator make mul/inv/pow O(1) lookups, and a Zech-logarithm array
-(log(1 + g^i) for each i) makes add/neg lookups too at odd p; at p = 2
-addition is XOR.  Contexts are singletons per (p, k), created via
-make_field.
+Elements are plain int codes, with no element object: the code of
+c0 + c1*x + ... is sum(ci * p^i).  Every canonical choice (modulus,
+primitive element, embedding root) uses one rule: smallest candidate in
+coefficient-lex order, coefficients compared low-degree first.  Fields
+have at most 2^15 elements, and every field is tabled at construction:
+exp/log arrays over the canonical generator make mul/inv/pow/order O(1)
+lookups, and a Zech-logarithm array (log(1 + g^i) for each i) makes
+add/neg lookups too at odd p; at p = 2 addition is XOR.  Contexts are
+singletons per (p, k), created via make_field.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 from sympy import factorint, isprime
@@ -72,10 +73,8 @@ class FieldCtx:
         self.k = k
         self.card = p**k
         self.modulus = self._find_modulus()
-        self._factors = factorint(self.card - 1)
         self.gen_code = self._find_primitive()
         self._build_tables(self.gen_code)
-        self._np_cache = {}
 
     def __repr__(self):
         return "GF(%d^%d)" % (self.p, self.k) if self.k > 1 else "GF(%d)" % self.p
@@ -97,10 +96,11 @@ class FieldCtx:
 
     def _find_primitive(self):
         n = self.card - 1
+        primes = factorint(n)
         for code in self._iter_codes_lex():
             if code == 0:
                 continue
-            if all(self._pow_slow(code, n // r) != 1 for r in self._factors):
+            if all(self._pow_slow(code, n // r) != 1 for r in primes):
                 return code
         raise AssertionError("no primitive element found")
 
@@ -187,59 +187,11 @@ class FieldCtx:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def frob(self, a, q0):
-        """a -> a^q0 for q0 a power of p (the subfield-order Frobenius)."""
-        e = q0
-        ok = e >= 1
-        while e > 1 and e % self.p == 0:
-            e //= self.p
-        if not ok or e != 1:
-            raise ValueError("q0 must be a power of %d" % self.p)
-        return self.pow(a, q0)
-
     def order_of(self, a):
-        """Multiplicative order of a nonzero code."""
+        """Multiplicative order of a nonzero code: n / gcd(log a, n)."""
         if a == 0:
             raise ValueError("0 has no multiplicative order")
-        order = self._n
-        for r, e in self._factors.items():
-            for _ in range(e):
-                if self.pow(a, order // r) == 1:
-                    order //= r
-                else:
-                    break
-        return order
-
-    # -- element constructors -------------------------------------------------
-
-    def elem(self, value):
-        if isinstance(value, FFElem):
-            if value.ctx is not self:
-                raise ValueError("element from a different field")
-            return value
-        if isinstance(value, tuple):
-            if len(value) > self.k or any(not (0 <= c < self.p) for c in value):
-                raise ValueError("bad coefficient tuple")
-            value = _code_of(value, self.p)
-        if not (0 <= value < self.card):
-            raise ValueError("code out of range")
-        return FFElem(self, value)
-
-    @property
-    def zero(self):
-        return FFElem(self, 0)
-
-    @property
-    def one(self):
-        return FFElem(self, 1)
-
-    @property
-    def gen(self):
-        return FFElem(self, self.gen_code)
-
-    def elements(self):
-        """All field elements in coefficient-lex order."""
-        return [FFElem(self, c) for c in self._iter_codes_lex()]
+        return self._n // gcd(self._log[a], self._n)
 
     def lex_key(self, code):
         return _coeffs_of(code, self.p, self.k)
@@ -248,156 +200,43 @@ class FieldCtx:
 
     def _np_logs(self):
         """(exp, log) as int64 arrays."""
-        if "logs" not in self._np_cache:
-            self._np_cache["logs"] = (
-                np.array(self._exp, dtype=np.int64),
-                np.array(self._log, dtype=np.int64),
-            )
-        return self._np_cache["logs"]
+        return np.array(self._exp, dtype=np.int64), np.array(self._log, dtype=np.int64)
 
     def np_mul_table(self):
         """card x card int32 table of products, by code."""
-        if "mul" not in self._np_cache:
-            if self.card > _NP_TABLE_LIMIT:
-                raise ValueError("field too large for dense tables")
-            exp, log = self._np_logs()
-            nz = log[1:]
-            tab = np.zeros((self.card, self.card), dtype=np.int32)
-            tab[1:, 1:] = exp[(nz[:, None] + nz[None, :]) % self._n]
-            self._np_cache["mul"] = tab
-        return self._np_cache["mul"]
+        if self.card > _NP_TABLE_LIMIT:
+            raise ValueError("field too large for dense tables")
+        exp, log = self._np_logs()
+        nz = log[1:]
+        tab = np.zeros((self.card, self.card), dtype=np.int32)
+        tab[1:, 1:] = exp[(nz[:, None] + nz[None, :]) % self._n]
+        return tab
 
     def np_add_table(self):
         """card x card int32 table of sums, by code."""
-        if "add" not in self._np_cache:
-            if self.card > _NP_TABLE_LIMIT:
-                raise ValueError("field too large for dense tables")
-            codes = np.arange(self.card, dtype=np.int64)
-            if self.p == 2:
-                tab = (codes[:, None] ^ codes[None, :]).astype(np.int32)
-            else:
-                n = self._n
-                exp, log = self._np_logs()
-                zech = np.array([-1 if z is None else z for z in self._zech], dtype=np.int64)
-                la = log[1:, None]
-                z = zech[(log[None, 1:] - la) % n]
-                tab = np.empty((self.card, self.card), dtype=np.int32)
-                tab[0, :] = codes
-                tab[:, 0] = codes
-                tab[1:, 1:] = np.where(z < 0, 0, exp[(la + z) % n])
-            self._np_cache["add"] = tab
-        return self._np_cache["add"]
+        if self.card > _NP_TABLE_LIMIT:
+            raise ValueError("field too large for dense tables")
+        codes = np.arange(self.card, dtype=np.int64)
+        if self.p == 2:
+            return (codes[:, None] ^ codes[None, :]).astype(np.int32)
+        n = self._n
+        exp, log = self._np_logs()
+        zech = np.array([-1 if z is None else z for z in self._zech], dtype=np.int64)
+        la = log[1:, None]
+        z = zech[(log[None, 1:] - la) % n]
+        tab = np.empty((self.card, self.card), dtype=np.int32)
+        tab[0, :] = codes
+        tab[:, 0] = codes
+        tab[1:, 1:] = np.where(z < 0, 0, exp[(la + z) % n])
+        return tab
 
     def np_pow_vec(self, e):
         """card int32 vector of e-th powers, by code; 0 maps to 0 when e < 0."""
-        key = ("pow", e)
-        if key not in self._np_cache:
-            exp, log = self._np_logs()
-            vec = np.zeros(self.card, dtype=np.int32)
-            vec[0] = self.pow(0, e) if e >= 0 else 0
-            vec[1:] = exp[(log[1:] * e) % self._n]
-            self._np_cache[key] = vec
-        return self._np_cache[key]
-
-
-class FFElem:
-    """A finite field element: a context reference plus an integer code."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx, code):
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coeffs(self):
-        return _coeffs_of(self.code, self.ctx.p, self.ctx.k)
-
-    def _other(self, other):
-        if isinstance(other, FFElem):
-            if other.ctx is not self.ctx:
-                raise ValueError("mixed field contexts")
-            return other.code
-        if isinstance(other, int):
-            return other % self.ctx.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.ctx, self.ctx.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.ctx, self.ctx.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.ctx, self.ctx.sub(c, self.code))
-
-    def __neg__(self):
-        return FFElem(self.ctx, self.ctx.neg(self.code))
-
-    def __mul__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.ctx, self.ctx.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.ctx, self.ctx.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._other(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FFElem(self.ctx, self.ctx.div(c, self.code))
-
-    def __pow__(self, e):
-        return FFElem(self.ctx, self.ctx.pow(self.code, e))
-
-    def frobenius_q(self, q0):
-        return FFElem(self.ctx, self.ctx.frob(self.code, q0))
-
-    def order(self):
-        return self.ctx.order_of(self.code)
-
-    def __eq__(self, other):
-        if isinstance(other, FFElem):
-            return self.ctx is other.ctx and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.ctx.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append("%su" % head if i == 1 else "%su^%d" % (head, i))
-        return "+".join(reversed(terms)) if terms else "0"
+        exp, log = self._np_logs()
+        vec = np.zeros(self.card, dtype=np.int32)
+        vec[0] = self.pow(0, e) if e >= 0 else 0
+        vec[1:] = exp[(log[1:] * e) % self._n]
+        return vec
 
 
 _MAKE_TOKEN = object()
@@ -416,16 +255,14 @@ def make_field(p, k):
 
 
 def roots_of_unity(ctx, d):
-    """The cyclic group of d-th roots of unity, [1, z, z^2, ...] with z canonical."""
+    """The cyclic group of d-th roots of unity as codes, [1, z, z^2, ...] with z canonical."""
     n = ctx.card - 1
     if d < 1 or n % d:
         raise ValueError("%d does not divide |F*| = %d" % (d, n))
     z = ctx.pow(ctx.gen_code, n // d)
-    out = [ctx.one]
-    c = 1
+    out = [1]
     for _ in range(d - 1):
-        c = ctx.mul(c, z)
-        out.append(FFElem(ctx, c))
+        out.append(ctx.mul(out[-1], z))
     return out
 
 
@@ -473,8 +310,3 @@ def embed_codes(sub, sup):
         table.append(acc)
     return tuple(table)
 
-
-def embed(elt, sup):
-    """Embed an FFElem into the bigger field sup along the canonical root."""
-    table = embed_codes(elt.ctx, sup)
-    return FFElem(sup, table[elt.code])

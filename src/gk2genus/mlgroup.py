@@ -101,7 +101,7 @@ class MlContext:
         self.p, self.h = self.pts.p, self.pts.h
         self.F = F = self.pts.F
         self.card = F.card
-        self.mu = [e.code for e in roots_of_unity(F, q + 1)]
+        self.mu = roots_of_unity(F, q + 1)
         self.mu_set = frozenset(self.mu)
         self.eps = self.mu[1]
         self.identity = (1, 0, 1)

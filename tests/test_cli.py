@@ -88,8 +88,13 @@ def test_classify_names_a_q_past_the_dense_table_bound(capsys):
     assert err.startswith("error: ") and "q=37" in err
 
 
-def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys):
-    # m = (4^151 + 1)/5 has 300 bits; the factoring budget leaves it composite
+def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys, monkeypatch):
+    # m = (4^151 + 1)/5 has 300 bits; the factoring budget leaves it composite,
+    # and the spectrum rejects it before building any catalog instance
+    def no_instances(inst):
+        raise AssertionError("instantiated %s before factoring m" % inst.label())
+
+    monkeypatch.setattr("gk2genus.engine.instantiate", no_instances)
     assert main(["spectrum", "--q", "4", "--n", "151"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "q=4, n=151" in err

@@ -318,8 +318,8 @@ def test_kn_exponents_match_the_field_model(q, n):
     emb = embed_codes(F2, FB)
     N = q**n + 1
     zeta = next(
-        z.code for z in roots_of_unity(FB, N)
-        if FB.order_of(z.code) == N and FB.pow(z.code, kn.m) == emb[kn.ml.eps]
+        z for z in roots_of_unity(FB, N)
+        if FB.order_of(z) == N and FB.pow(z, kn.m) == emb[kn.ml.eps]
     )
     xi = 1
     for k in range(N):
