@@ -26,7 +26,7 @@ from sympy.ntheory.residue_ntheory import n_order
 
 from . import formulas
 from .gf import embed_codes, make_field
-from .mlgroup import DetPreimage, Subgroup, closure, ml_context
+from .mlgroup import DetPreimage, Subgroup, closure, mat_det, mat_mul, ml_context
 
 # Explicit subgroups (and with them the brute-force oracle) stay feasible
 # up to this field size; past it only closed-form data is available.
@@ -45,8 +45,7 @@ class FamilyInstance:
     params is a tuple of (name, value) pairs in a fixed per-family order,
     order is the subgroup order inside M_ell, tame records whether the
     characteristic divides that order, and det_rule is the order of the
-    determinant image when the parameters force it (None when it has to be
-    measured on the constructed subgroup).
+    determinant image that the parameters force.
     """
 
     q: int
@@ -54,7 +53,7 @@ class FamilyInstance:
     params: tuple
     order: int
     tame: bool
-    det_rule: int | None = None
+    det_rule: int
 
     @property
     def param_dict(self):
@@ -112,98 +111,16 @@ def _formula_value(inst):
     return None
 
 
-# -- 2x2 matrix helpers over the code field -------------------------------------
-
-
-def _mmul(F, A, B):
-    return tuple(
-        tuple(
-            F.add(F.mul(A[i][0], B[0][j]), F.mul(A[i][1], B[1][j])) for j in (0, 1)
-        )
-        for i in (0, 1)
-    )
-
-
-def _mdet(F, A):
-    return F.sub(F.mul(A[0][0], A[1][1]), F.mul(A[0][1], A[1][0]))
-
-
-def _minv(F, A):
-    d = _mdet(F, A)
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    di = F.inv(d)
-    return (
-        (F.mul(di, A[1][1]), F.mul(di, F.neg(A[0][1]))),
-        (F.mul(di, F.neg(A[1][0])), F.mul(di, A[0][0])),
-    )
-
-
-# -- the chord frame ------------------------------------------------------------
-#
-# The two rational chord points R0 = (x0 : 1 : 0), R1 = (x1 : 1 : 0) span the
-# chord plane.  P sends the standard symplectic-looking basis to (e0, e1) with
-# e_i the column of R_i, scaled so that the Hermitian form becomes the
-# antisymmetric matrix [[0, delta], [-delta, 0]] with delta^(q-1) = -1.  Under
-# this change of basis a matrix with entries in the q-subfield and determinant
-# one conjugates into a unique chord element with unit determinant character.
-
-
-@lru_cache(maxsize=None)
-def _frame(ctx):
-    F, q = ctx.F, ctx.q
-    if ctx.R0[1] != 1 or ctx.R1[1] != 1 or ctx.R0[2] != 0 or ctx.R1[2] != 0:
-        raise RecipeError("chord points are not in (x : 1 : 0) form")
-    x0, x1 = ctx.R0[0], ctx.R1[0]
-    delta = 1 if ctx.p == 2 else F.pow(F.gen_code, (q + 1) // 2)
-    kappa = F.sub(F.mul(x0, ctx.frobq[x1]), 1)
-    c = F.div(delta, F.pow(kappa, q))
-    P = ((x0, F.mul(c, x1)), (1, c))
-    Pinv = _minv(F, P)
-    gram = tuple(
-        tuple(
-            F.sub(
-                F.mul(ctx.frobq[P[0][i]], P[0][j]),
-                F.mul(ctx.frobq[P[1][i]], P[1][j]),
-            )
-            for j in (0, 1)
-        )
-        for i in (0, 1)
-    )
-    if gram != ((0, delta), (F.neg(delta), 0)):
-        raise RecipeError("chord frame does not respect the Hermitian form")
-    return delta, P, Pinv
-
-
-def _block_of(ctx, g):
-    a, c, t = g
-    F = ctx.F
-    return ((a, F.mul(t, ctx.frobq[c])), (c, F.mul(t, ctx.frobq[a])))
-
-
-def _push_matrix(ctx, M):
-    """Conjugate a matrix with q-subfield entries into chord coordinates."""
-    _, P, Pinv = _frame(ctx)
-    F = ctx.F
-    for row in M:
-        for entry in row:
-            if ctx.frobq[entry] != entry:
-                raise RecipeError("matrix entries must lie in the q-subfield")
-    return _mmul(F, _mmul(F, P, M), Pinv)
+# -- shared building blocks -----------------------------------------------------
 
 
 def _det1_element(ctx, M):
     """The unique chord element covering a determinant-one subfield matrix."""
-    if _mdet(ctx.F, M) != 1:
+    if mat_det(ctx.F, M) != 1:
         raise RecipeError("expected determinant one")
-    B = _push_matrix(ctx, M)
-    g = (B[0][0], B[1][0], 1)
-    if _block_of(ctx, g) != B or not ctx.is_element(g):
-        raise RecipeError("conjugated matrix is not a unit-character chord element")
-    return g
-
-
-# -- shared building blocks -----------------------------------------------------
+    if any(ctx.frobq[entry] != entry for row in M for entry in row):
+        raise RecipeError("matrix entries must lie in the q-subfield")
+    return ctx.frame_element(M)
 
 
 def _center_gen(ctx, w):
@@ -329,7 +246,7 @@ def _sl2_three_matrices(ctx):
     om = F.mul(half, F.sub(iot, 1))
     op = F.mul(half, F.add(iot, 1))
     theta = ((om, om), (op, F.neg(op)))
-    third = _mmul(F, theta, _mmul(F, theta, theta))
+    third = mat_mul(F, theta, mat_mul(F, theta, theta))
     if third != ((1, 0), (0, 1)):
         raise RecipeError("the order-3 unit does not cube to the identity")
     return i_mat, j_mat, theta
@@ -465,7 +382,7 @@ def _make_sl2_five(ctx):
         (F.mul(half, F.add(phi_inv, F.mul(phi, iot))), half),
         (F.neg(half), F.mul(half, F.sub(phi_inv, F.mul(phi, iot)))),
     )
-    if _mdet(F, u_mat) != 1:
+    if mat_det(F, u_mat) != 1:
         raise RecipeError("icosahedral unit has wrong determinant")
     return [_det1_element(ctx, M) for M in (i_mat, j_mat, u_mat)]
 
@@ -716,12 +633,10 @@ def s_of(inst):
     """Order of the determinant character image of the instance."""
     if inst.q <= SMALL_Q_LIMIT:
         s = instantiate(inst).det_image_order()
-        if inst.det_rule is not None and s != inst.det_rule:
+        if s != inst.det_rule:
             raise RecipeError(
                 "%s has determinant image of order %d, rule says %d"
                 % (inst.label(), s, inst.det_rule)
             )
         return s
-    if inst.det_rule is None:
-        raise ValueError("no determinant rule for %s" % inst.label())
     return inst.det_rule

@@ -14,6 +14,8 @@ arguments.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -89,10 +91,9 @@ def _json(tree):
 
 
 def _csv_rows(rows):
-    out = []
-    for row in rows:
-        out.append(",".join(str(c) for c in row))
-    return "\n".join(out) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _run_spectrum(ns):

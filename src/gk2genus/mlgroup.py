@@ -13,12 +13,16 @@ of xi = zeta^k in mu_(q^n+1) over a fixed generator zeta with zeta^m = eps
 and m = (q^n+1)/(q+1).  It projects onto M_ell by xi -> xi^m = eps^k, with
 central kernel C_m; no field GF(q^(2n)) is built.
 
-MlContext(q) carries the curve points, dense lookup tables, the standard
-subgroup inventory (center Z, commutator S_ell, elation group, the cyclic
-two-point-stabilizer torus and its swap coset), element classification by
-fixed-point geometry, orbit counting on curve points, and the tame
-quotient genus.  KnContext(q, n) carries the tower group and the
-triple decomposition/reconstruction of its subgroups.
+MlContext(q) carries the curve points, dense lookup tables, the chord
+frame, the standard subgroup inventory (center Z, commutator S_ell, the
+elation groups at the chord points R0 and R1, the cyclic two-point-stabilizer
+torus and its swap coset), element classification by fixed-point geometry,
+orbit counting on curve points, and the tame quotient genus.  The chord frame
+is a basis change P taking the basis to R0 and R1 and the Hermitian form to
+J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
+into the chord element it stands for, and the inventory is built that way.
+KnContext(q, n) carries the tower group and the triple
+decomposition/reconstruction of its subgroups.
 """
 
 from __future__ import annotations
@@ -72,14 +76,24 @@ def _cycle_minima(perm):
         m, perm = lower, perm[perm]
 
 
+def mat_mul(F, A, B):
+    """Product of two 2x2 matrices of field codes."""
+    return tuple(
+        tuple(F.add(F.mul(A[i][0], B[0][j]), F.mul(A[i][1], B[1][j])) for j in (0, 1))
+        for i in (0, 1)
+    )
+
+
+def mat_det(F, A):
+    return F.sub(F.mul(A[0][0], A[1][1]), F.mul(A[0][1], A[1][0]))
+
+
 @dataclass(frozen=True)
 class ElementType:
     """Fixed-point geometry of a nonidentity element."""
 
     tag: str  # 'A', 'B1', 'B2', 'C', 'E'
     fix_h: int  # number of fixed rational curve points
-    center: tuple | None  # homology/elation center (types A, C)
-    frame: tuple  # the fixed points on the chord line
 
 
 class MlContext:
@@ -281,7 +295,7 @@ class MlContext:
         if c == 0:
             if a == taq:
                 # scalar on the chord: homology with center P, axis the chord line
-                return ElementType("A", q + 1, P, ())
+                return ElementType("A", q + 1)
             chord_fixed = [(0, 1, 0), (1, 0, 0)]
         else:
             # fixed chord points (x:1:0) solve -c x^2 + (a - t a^q) x + t c^q = 0
@@ -301,20 +315,20 @@ class MlContext:
                         raise AssertionError("homology with isotropic center")
                     if polar_line(F, q, qb) != self._line_through(qa, P):
                         raise AssertionError("homology axis is not the polar of its center")
-                    return ElementType("A", q + 1, qb, (qa,))
+                    return ElementType("A", q + 1)
             iso1, iso2 = is_isotropic(F, q, q1), is_isotropic(F, q, q2)
             if iso1 and iso2:
-                return ElementType("B2", 2, None, (q1, q2))
+                return ElementType("B2", 2)
             if not iso1 and not iso2:
-                return ElementType("B1", 0, None, (q1, q2))
+                return ElementType("B1", 0)
             raise AssertionError("mixed isotropy in a fixed frame")
         if len(chord_fixed) == 1:
             (q1,) = chord_fixed
             if not is_isotropic(F, q, q1):
                 raise AssertionError("single fixed chord point off the curve")
             if self._fixes(g, (q1[0], q1[1], 1)):
-                return ElementType("C", 1, q1, (q1,))
-            return ElementType("E", 1, q1, (q1,))
+                return ElementType("C", 1)
+            return ElementType("E", 1)
         raise AssertionError("element fixing no chord point")
 
     def _line_through(self, pt1, pt2):
@@ -352,10 +366,10 @@ class MlContext:
             raise AssertionError("negative tame genus")
         return g_bar
 
-    # -- standard subgroup inventory -------------------------------------------
+    # -- the chord frame and the standard subgroup inventory ---------------------
 
     def _ensure_structure(self):
-        """Build the standard subgroup inventory; run once, by __init__."""
+        """Build the chord frame and the subgroup inventory; run once, by __init__."""
         F, q = self.F, self.q
         self.R0 = self.pts.points[0]
         self.R1 = self.pts.points[1]
@@ -370,64 +384,75 @@ class MlContext:
             self.beta = None
             self.z1_gen = self.z_gen
             self.z1_elements = self.z_elements
-        s_ell = self.s_ell
-        self.s_ell_set = frozenset(s_ell)
-        # stabilizer scans over all of M_ell, vectorized per determinant value
-        arr = np.array(s_ell, dtype=np.int64)
-        a_arr, c_arr = arr[:, 0], arr[:, 1]
-        MUL, ADD = self.MUL, self.ADD
-        FR = np.array(self.frobq, dtype=np.int64)
-        aq, cq = FR[a_arr], FR[c_arr]
-        x0 = self.R0[0]
-        x1 = self.R1[0]
-        torus, wcoset, stab0_sl, stab1_sl = [], [], [], []
-        for t in self.mu:
-            xi = ADD[MUL[a_arr, x0], MUL[t, cq]]
-            yi = ADD[MUL[c_arr, x0], MUL[t, aq]]
-            fix0 = xi == MUL[x0, yi]
-            to1 = xi == MUL[x1, yi]
-            xj = ADD[MUL[a_arr, x1], MUL[t, cq]]
-            yj = ADD[MUL[c_arr, x1], MUL[t, aq]]
-            fix1 = xj == MUL[x1, yj]
-            to0 = xj == MUL[x0, yj]
-            for i in np.flatnonzero(fix0 & fix1):
-                torus.append((int(a_arr[i]), int(c_arr[i]), t))
-            for i in np.flatnonzero(to1 & to0):
-                wcoset.append((int(a_arr[i]), int(c_arr[i]), t))
-            if t == 1:
-                for i in np.flatnonzero(fix0):
-                    stab0_sl.append((int(a_arr[i]), int(c_arr[i]), 1))
-                for i in np.flatnonzero(fix1):
-                    stab1_sl.append((int(a_arr[i]), int(c_arr[i]), 1))
-        if len(torus) != q * q - 1 or len(wcoset) != q * q - 1:
-            raise AssertionError("unexpected two-point stabilizer sizes")
-        if len(stab0_sl) != q * (q - 1) or len(stab1_sl) != q * (q - 1):
-            raise AssertionError("unexpected Borel size in S_ell")
-        self.torus = torus
-        self.wcoset = wcoset
-        self.torus_gen = next(g for g in torus if self.order_of(g) == q * q - 1)
-        # elation groups at R0 and R1: the order-p elements of each stabilizer
-        e_q, e_r1 = (
-            sorted(g for g in stab if g != self.identity
-                   and self.power(g, self.p) == self.identity)
-            for stab in (stab0_sl, stab1_sl)
+        self.s_ell_set = frozenset(self.s_ell)
+        # the frame P sends the basis to R0 = (x0 : 1 : 0) and a multiple of
+        # R1 = (x1 : 1 : 0), scaled so that the Hermitian form becomes
+        # J = [[0, delta], [-delta, 0]] with delta^(q-1) = -1
+        if self.R0[1:] != (1, 0) or self.R1[1:] != (1, 0):
+            raise AssertionError("chord points are not in (x : 1 : 0) form")
+        x0, x1 = self.R0[0], self.R1[0]
+        delta = 1 if self.p == 2 else F.pow(F.gen_code, (q + 1) // 2)
+        c = F.div(delta, F.pow(F.sub(F.mul(x0, self.frobq[x1]), 1), q))
+        P = ((x0, F.mul(c, x1)), (1, c))
+        gram = tuple(
+            tuple(
+                F.sub(F.mul(self.frobq[P[0][i]], P[0][j]), F.mul(self.frobq[P[1][i]], P[1][j]))
+                for j in (0, 1)
+            )
+            for i in (0, 1)
         )
-        if len(e_q) != q - 1:
-            raise AssertionError("elation group has wrong size")
-        self.e_q = [self.identity] + e_q
+        if gram != ((0, delta), (F.neg(delta), 0)):
+            raise AssertionError("chord frame does not respect the Hermitian form")
+        di = F.inv(mat_det(F, P))
+        self.P = P
+        self.P_inv = ((F.mul(di, c), F.neg(F.mul(di, P[0][1]))), (F.neg(di), F.mul(di, x0)))
+        # M preserves J exactly when M^(q)T J M = J: the diagonal frame matrices
+        # fix R0 and R1, the antidiagonal ones swap them, and the unipotent ones
+        # over the q-subfield are the elations fixing R0 or R1
+        units = range(1, self.card)
+        subfield = [b for b in units if self.frobq[b] == b]
+
+        def diag(lam):
+            return self.frame_element(((lam, 0), (0, F.pow(lam, -q))))
+
+        self.torus = [diag(lam) for lam in units]
+        self.wcoset = [self.frame_element(((0, al), (F.neg(F.pow(al, -q)), 0))) for al in units]
+        self.torus_gen = diag(F.gen_code)
+        if self.order_of(self.torus_gen) != q * q - 1:
+            raise AssertionError("torus generator has the wrong order")
+        e_q = sorted(self.frame_element(((1, b), (0, 1))) for b in subfield)
+        e_r1 = sorted(self.frame_element(((1, 0), (b, 1))) for b in subfield)
+        self.e_q, self.e_r1 = [self.identity] + e_q, [self.identity] + e_r1
         # generators of S_ell from opposite elation groups; a pair of
         # involutions is only dihedral, so even q > 2 needs the full E_q side
         candidates = []
         if self.p != 2 or self.h == 1:
-            candidates.extend([u, v] for u in self.e_q[1:] for v in e_r1)
-        candidates.append(self.e_q[1:] + e_r1[:1])
-        candidates.append(self.e_q[1:] + e_r1)
+            candidates.extend([u, v] for u in e_q for v in e_r1)
+        candidates.append(e_q + e_r1[:1])
+        candidates.append(e_q + e_r1)
         # S_ell acts regularly on the affine points (g sends (1, 0, 1) to g), so
         # a subset of S_ell generates it exactly when it is transitive on them
         found = next((gens for gens in candidates if self.orbit_counts(gens)[1] == 1), None)
         if not found:
             raise AssertionError("opposite elation groups fail to generate S_ell")
         self.s_ell_gens = found
+
+    def frame_element(self, M):
+        """The chord element (B00, B10, det M) of B = P M P^-1.
+
+        M is a frame matrix preserving J; B then preserves the Hermitian
+        form, so it is the block [[a, t c^q], [c, t a^q]] of a chord element.
+        """
+        F = self.F
+        B = mat_mul(F, mat_mul(F, self.P, M), self.P_inv)
+        a, c, t = B[0][0], B[1][0], mat_det(F, M)
+        if (
+            B[0][1] != F.mul(t, self.frobq[c])
+            or B[1][1] != F.mul(t, self.frobq[a])
+            or not self.is_element((a, c, t))
+        ):
+            raise ValueError("frame matrix does not preserve the Hermitian form")
+        return (a, c, t)
 
     def random_element(self, rng):
         a, c, _ = rng.choice(self.s_ell)

@@ -1,7 +1,13 @@
 """Tests for the command line front end."""
 
+import csv
+import io
 import json
 
+import pytest
+
+from gk2genus import engine, formulas
+from gk2genus.catalog import enumerate_instances
 from gk2genus.cli import main
 
 
@@ -134,3 +140,43 @@ def test_table_matrix_reports_every_row(capsys):
     assert any("q=9" in ln and "FAIL" in ln for ln in verdicts)
     assert "658" in out and "387562" in out and "11239956" in out
     assert code == 1
+
+
+def test_catalog_and_verify_csv_quote_labels_with_commas(capsys):
+    labels = [inst.label() for inst in enumerate_instances(4)]
+    assert main(["catalog", "--q", "4", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["label", "order", "tame"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:]] == labels
+    assert main(["verify", "--q", "4", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["instance", "passed"]
+    assert all(len(row) == 2 for row in rows)
+    assert [row[0] for row in rows[1:]] == labels
+
+
+@pytest.fixture
+def cold_spectrum():
+    engine.spectrum.cache_clear()
+    yield
+    engine.spectrum.cache_clear()
+
+
+def test_spectrum_refuses_a_closed_form_the_group_action_contradicts(
+    capsys, monkeypatch, cold_spectrum
+):
+    closed_form = formulas.elementary_abelian_quotient
+
+    def one_orbit_too_many(q, f, w):
+        genus, orbits = closed_form(q, f, w)
+        return genus, orbits + 1
+
+    monkeypatch.setattr(formulas, "elementary_abelian_quotient", one_orbit_too_many)
+    assert main(["spectrum", "--q", "4", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mismatch:")
+    report = json.loads(captured.err.splitlines()[-1])
+    assert report["kind"] == "orbit-count"
+    assert report["instance"] == "elementary_abelian[q=4,f=1,w=1]"

@@ -76,6 +76,28 @@ def test_standard_subgroups():
             assert conj in ctx.s_ell_set
 
 
+def test_standard_subgroups_match_their_definitions():
+    for q in (2, 3, 4, 5, 8, 9, 13):
+        ctx = ml_context(q)
+        R0, R1 = ctx.R0, ctx.R1
+        torus, wcoset, e_q, e_r1 = set(), set(), set(), set()
+        for g in ctx.iter_elements():
+            r0, r1 = ctx.apply(g, R0), ctx.apply(g, R1)
+            if (r0, r1) == (R0, R1):
+                torus.add(g)
+            if (r0, r1) == (R1, R0):
+                wcoset.add(g)
+            if g[2] == 1 and ctx.power(g, ctx.p) == ctx.identity:
+                if r0 == R0:
+                    e_q.add(g)
+                if r1 == R1:
+                    e_r1.add(g)
+        assert set(ctx.torus) == torus
+        assert set(ctx.wcoset) == wcoset
+        assert set(ctx.e_q) == e_q
+        assert set(ctx.e_r1) == e_r1
+
+
 def test_s_ell_generators_generate():
     for q in (2, 3, 4, 5, 8, 9):
         ctx = ml_context(q)
