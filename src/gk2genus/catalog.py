@@ -25,7 +25,6 @@ from sympy import divisors
 from sympy.ntheory.residue_ntheory import n_order
 
 from . import formulas
-from .gf import embed_codes, make_field
 from .mlgroup import DetPreimage, Subgroup, closure, mat_det, mat_mul, ml_context
 
 # Explicit subgroups (and with them the brute-force oracle) stay feasible
@@ -192,15 +191,14 @@ def _a1_element(ctx, i, j):
     return (a, 0, ctx.F.mul(a, ctx.mu[j % n]))
 
 
-def _a1_pairs(n, d, e, a_off):
-    """Index pairs of the subgroup of Z_n x Z_n with row data (d, e, a_off)."""
-    pairs = set()
-    for x in range(d):
-        for y in range(e):
-            pairs.add(((x * (n // d) + y * a_off) % n, (y * (n // e)) % n))
-    if len(pairs) != d * e:
-        raise RecipeError("diagonal pair data does not span a group of order %d" % (d * e))
-    return pairs
+def _a1_contains(n, d, e, a_off, i, j):
+    """Whether (i, j) lies in the subgroup of Z_n x Z_n with row data (d, e, a_off).
+
+    That subgroup is {(x n/d + y a_off, y n/e)}: (i, j) is in it when
+    j = y n/e for an integer y and n/d divides i - y a_off.
+    """
+    y, rem = divmod(j % n, n // e)
+    return rem == 0 and (i - y * a_off) % (n // d) == 0
 
 
 def _a1_triples(n):
@@ -220,10 +218,11 @@ def _a1_triples(n):
 
 def _sl2_matrix_gens(ctx, k):
     """Standard SL(2, p^k) generators with entries in the order-p^k subfield."""
-    F = ctx.F
-    sub = make_field(ctx.p, k)
-    emb = embed_codes(sub, F)
-    mats = [((1, emb[ctx.p**i]), (0, 1)) for i in range(k)]
+    F, q = ctx.F, ctx.q
+    # the powers 1, omega, ..., omega^(k-1) of a generator omega of GF(p^k)*
+    # are a basis of GF(p^k) over GF(p)
+    omega = F.pow(F.gen_code, (q * q - 1) // (ctx.p**k - 1))
+    mats = [((1, F.pow(omega, i)), (0, 1)) for i in range(k)]
     mats.append(((0, 1), (F.neg(1), 0)))
     return mats
 
@@ -263,10 +262,10 @@ def _subfield_sqrt(ctx, value):
 
 # -- family builders -------------------------------------------------------------
 #
-# A builder takes its family's parameters other than w and returns the core
-# generators; instantiate adds C_w, closes the group or takes its determinant
-# preimage, and certifies it.  A builder checks only its recipe: the
-# matrices, relations and elements it is built from.
+# A builder takes its family's parameters other than w, positionally in label
+# order, and returns the core generators; instantiate adds C_w, closes the
+# group or takes its determinant preimage, and certifies it.  A builder checks
+# only its recipe: the matrices, relations and elements it is built from.
 
 
 def _make_elementary_abelian(ctx, f):
@@ -289,9 +288,9 @@ def _chord_swap(ctx, square, conj_src, conj_dst):
     raise RecipeError("no chord swap satisfies the required relations")
 
 
-def _make_dihedral(ctx, t=None, d=None):
-    """Dihedral group with rotation order t (q even) or d (q odd)."""
-    rot = _torus_power(ctx, t or d)
+def _make_dihedral(ctx, order):
+    """Dihedral group with the given rotation order (t at even q, d at odd q)."""
+    rot = _torus_power(ctx, order)
     return [rot, _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))]
 
 
@@ -321,14 +320,13 @@ def _make_diagonal(ctx, d, e, a):
 
 def _make_triangle_swap(ctx, d, e, a, t):
     n = ctx.q + 1
-    pairs = _a1_pairs(n, d, e, a)
     sigma = (0, _neg_norm_rep(ctx), ctx.mu[t % n])
     if not ctx.is_element(sigma):
         raise RecipeError("swap representative is not a chord element")
     s2 = ctx.power(sigma, 2)
     i2 = ctx.mu.index(s2[0])
     j2 = (ctx.mu.index(s2[2]) - i2) % n
-    if (i2, j2) not in pairs:
+    if not _a1_contains(n, d, e, a, i2, j2):
         raise RecipeError("swap square leaves the diagonal part")
     return _make_diagonal(ctx, d, e, a) + [sigma]
 
@@ -406,10 +404,9 @@ def _make_hat_dicyclic(ctx, d):
 
 
 def _make_sl2_split_ext(ctx, k):
-    F, p = ctx.F, ctx.p
-    sub2 = make_field(p, 2 * k)
-    emb2 = embed_codes(sub2, F)
-    lam = emb2[sub2.pow(sub2.gen_code, (p ** (2 * k) - 1) // (2 * (p**k - 1)))]
+    F, q = ctx.F, ctx.q
+    # an element of order 2 (p^k - 1): its square generates GF(p^k)*
+    lam = F.pow(F.gen_code, (q * q - 1) // (2 * (ctx.p**k - 1)))
     if ctx.frobq[lam] != lam:
         raise RecipeError("splitting scalar left the q-subfield")
     nu = ((lam, 0), (0, F.inv(lam)))
@@ -552,15 +549,14 @@ def _odd_instances(q, out):
     n = q + 1
     half = n // 2
     for d, e, a in _a1_triples(n):
-        pairs = _a1_pairs(n, d, e, a)
-        swap_ok = (0, (n // d) % n) in pairs and ((n // e) % n, a % n) in pairs
+        swap_ok = _a1_contains(n, d, e, a, 0, n // d) and _a1_contains(n, d, e, a, n // e, a)
         if not swap_ok:
             continue
         g_s = math.gcd(math.gcd(n // d, (a + n // e) % n), n)
         for t in range(g_s):
             i2 = (t + half) % n
             j2 = (t - half) % n
-            if (i2, j2) in pairs:
+            if _a1_contains(n, d, e, a, i2, j2):
                 share = math.gcd(g_s, t) if t else g_s
                 add(FamilyInstance(q, "triangle_swap",
                                    (("d", d), ("e", e), ("a", a), ("t", t)),
@@ -608,9 +604,8 @@ def instantiate(inst):
             "explicit subgroups are only constructed for q <= %d" % SMALL_Q_LIMIT
         )
     ctx = ml_context(inst.q)
-    params = inst.param_dict
-    w = params.pop("w", 1)
-    gens = _BUILDERS[inst.family](ctx, **params)
+    w = inst.param_dict.get("w", 1)
+    gens = _BUILDERS[inst.family](ctx, *(v for k, v in inst.params if k != "w"))
     if w > 1:
         gens.append(_center_gen(ctx, w))
     if set(ctx.s_ell_gens) <= set(gens):

@@ -1,4 +1,4 @@
-"""Rational points and polarity of the Hermitian curve over GF(q^2).
+"""Rational points of the Hermitian curve over GF(q^2).
 
 The curve is Y^(q+1) = X^(q+1) - Z^(q+1); it has q^3 + 1 rational points:
 q + 1 on the chord Z = 0 and q^3 - q affine ones.  Points are normalized
@@ -37,37 +37,6 @@ def is_isotropic(F, q, pt):
     val = F.sub(val, F.pow(y, q + 1))
     val = F.sub(val, F.pow(z, q + 1))
     return val == 0
-
-
-def polar_line(F, q, pt):
-    """Line coefficients (u, v, w) of the polar of pt, normalized like a point."""
-    x, y, z = pt
-    return normalize_point(F, F.pow(x, q), F.neg(F.pow(y, q)), F.neg(F.pow(z, q)))
-
-
-def pole_of(F, q, line):
-    """The point whose polar is the given line (polarity applied backwards)."""
-    u, v, w = line
-    return normalize_point(F, F.pow(u, q), F.pow(F.neg(v), q), F.pow(F.neg(w), q))
-
-
-def line_points(F, a, b):
-    """All normalized points of the line spanned by two distinct points."""
-    out = []
-    seen = set()
-    for lam in range(F.card):
-        pt = normalize_point(
-            F,
-            F.add(F.mul(lam, a[0]), b[0]),
-            F.add(F.mul(lam, a[1]), b[1]),
-            F.add(F.mul(lam, a[2]), b[2]),
-        )
-        if pt not in seen:
-            seen.add(pt)
-            out.append(pt)
-    if a not in seen:
-        out.append(a)
-    return out
 
 
 class HermitianPointSet:
@@ -113,7 +82,6 @@ class HermitianPointSet:
             for yc in fiber.get(v, ()):
                 pts.append((xc, yc, 1))
         self.points = pts
-        self.index = {pt: i for i, pt in enumerate(pts)}
         self._tables = (base.ravel(), offset.ravel(), key.ravel(), want.ravel())
         self._np = tuple(np.array(pts, dtype=np.int32).T.copy())
 

@@ -16,8 +16,9 @@ central kernel C_m; no field GF(q^(2n)) is built.
 MlContext(q) carries the curve points, dense lookup tables, the chord
 frame, the standard subgroup inventory (center Z, commutator S_ell, the
 elation groups at the chord points R0 and R1, the cyclic two-point-stabilizer
-torus and its swap coset), element classification by fixed-point geometry,
-orbit counting on curve points, and the tame quotient genus.  The chord frame
+torus and its swap coset), element types by fixed-point geometry read from
+the eigenvectors of the chord block [[a, t*c^q], [c, t*a^q]], orbit counting
+on curve points, and the tame quotient genus.  The chord frame
 is a basis change P taking the basis to R0 and R1 and the Hermitian form to
 J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
 into the chord element it stands for, and the inventory is built that way.
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint
 
 from .formulas import m_of
 from .gf import _NP_TABLE_LIMIT, roots_of_unity
-from .hermitian import hermitian_points, is_isotropic, normalize_point, polar_line
+from .hermitian import hermitian_points, normalize_point
 
 ML_CLOSURE_LIMIT = 2**22
 
@@ -124,9 +124,6 @@ class MlContext:
         # S_ell = the determinant-1 part, isomorphic to SL(2,q): (a, c, 1) with
         # a^(q+1) - c^(q+1) = 1, which are exactly the affine curve points (x, y, 1)
         self.s_ell = self.pts.points[self.pts.chord_count:]
-        # element orders divide p * (q^2 - 1)
-        self._order_factors = factorint(self.p * (q * q - 1))
-        self._order_cache = {}
         self.MUL = F.np_mul_table()
         self.ADD = F.np_add_table()
         self.INV = F.np_pow_vec(-1)
@@ -178,19 +175,7 @@ class MlContext:
         return out
 
     def order_of(self, g):
-        cached = self._order_cache.get(g)
-        if cached:
-            return cached
-        # walk the order bound p * (q^2 - 1) down prime by prime
-        n = self.p * (self.q**2 - 1)
-        for r, e in self._order_factors.items():
-            for _ in range(e):
-                if self.power(g, n // r) == self.identity:
-                    n //= r
-                else:
-                    break
-        self._order_cache[g] = n
-        return n
+        return len(self.cyclic_group(g))
 
     def apply(self, g, pt):
         a, c, t = g
@@ -281,65 +266,62 @@ class MlContext:
 
     # -- element classification -----------------------------------------------
 
-    def _fixes(self, g, pt):
-        return self.apply(g, pt) == pt
-
     def classify(self, g):
-        """Fixed-point geometry tag of a nonidentity element."""
+        """Fixed-point geometry tag of a nonidentity element, read from its chord block.
+
+        g acts as diag(B, 1) with B = [[a, u], [c, v]], u = t c^q, v = t a^q.
+        Its fixed chord points are the eigenvectors of B, and the line through
+        one of them and P = (0:0:1) is fixed pointwise exactly when that
+        eigenvector's eigenvalue is 1, the eigenvalue of P.
+        """
         if g == self.identity:
             raise ValueError("identity has no type")
         a, c, t = g
-        F, q = self.F, self.q
-        P = (0, 0, 1)
-        taq = F.mul(t, self.frobq[a])
+        F, q, frobq = self.F, self.q, self.frobq
+        v = F.mul(t, frobq[a])
         if c == 0:
-            if a == taq:
+            if a == v:
                 # scalar on the chord: homology with center P, axis the chord line
                 return ElementType("A", q + 1)
-            chord_fixed = [(0, 1, 0), (1, 0, 0)]
+            # (eigenvector (x, y) of B, its eigenvalue)
+            fixed = [((0, 1), v), ((1, 0), a)]
         else:
-            # fixed chord points (x:1:0) solve -c x^2 + (a - t a^q) x + t c^q = 0
-            negc = F.neg(c)
-            b1 = F.sub(a, taq)
-            d0 = F.mul(t, self.frobq[c])
+            # fixed chord points (x:1:0) solve -c x^2 + (a - v) x + u = 0
+            u = F.mul(t, frobq[c])
             vals = self.ADD[
-                self.MUL[negc, self.SQ], self.ADD[self.MUL[b1, np.arange(self.card)], d0]
+                self.MUL[F.neg(c), self.SQ],
+                self.ADD[self.MUL[F.sub(a, v), np.arange(self.card)], u],
             ]
-            chord_fixed = [(int(x), 1, 0) for x in np.flatnonzero(vals == 0)]
-        if len(chord_fixed) == 2:
-            q1, q2 = chord_fixed
-            for qa, qb in ((q1, q2), (q2, q1)):
-                if self._fixes(g, (qa[0], qa[1], 1)):
-                    # pointwise-fixed line through qa and P: homology with center qb
-                    if is_isotropic(F, q, qb):
+            # the eigenvalue of (x:1:0) is the second entry c x + v of B (x, 1)
+            fixed = [((x, 1), F.add(F.mul(c, x), v)) for x in np.flatnonzero(vals == 0).tolist()]
+
+        def form(p1, p2):
+            # the Hermitian form x1 x2^q - y1 y2^q on chord points
+            return F.sub(F.mul(p1[0], frobq[p2[0]]), F.mul(p1[1], frobq[p2[1]]))
+
+        if len(fixed) == 2:
+            for (pa, lam), (pb, _) in (fixed, fixed[::-1]):
+                if lam == 1:
+                    # pointwise-fixed line through pa and P: homology with center pb.
+                    # P lies on the polar of every chord point, so that line is the
+                    # polar of pb exactly when pa is orthogonal to pb
+                    if form(pb, pb) == 0:
                         raise AssertionError("homology with isotropic center")
-                    if polar_line(F, q, qb) != self._line_through(qa, P):
+                    if form(pa, pb) != 0:
                         raise AssertionError("homology axis is not the polar of its center")
                     return ElementType("A", q + 1)
-            iso1, iso2 = is_isotropic(F, q, q1), is_isotropic(F, q, q2)
+            iso1, iso2 = (form(pt, pt) == 0 for pt, _ in fixed)
             if iso1 and iso2:
                 return ElementType("B2", 2)
             if not iso1 and not iso2:
                 return ElementType("B1", 0)
             raise AssertionError("mixed isotropy in a fixed frame")
-        if len(chord_fixed) == 1:
-            (q1,) = chord_fixed
-            if not is_isotropic(F, q, q1):
+        if len(fixed) == 1:
+            ((pt, lam),) = fixed
+            if form(pt, pt) != 0:
                 raise AssertionError("single fixed chord point off the curve")
-            if self._fixes(g, (q1[0], q1[1], 1)):
-                return ElementType("C", 1)
-            return ElementType("E", 1)
+            return ElementType("C" if lam == 1 else "E", 1)
         raise AssertionError("element fixing no chord point")
-
-    def _line_through(self, pt1, pt2):
-        # normalized coefficient triple of the line through two points
-        F = self.F
-        x1, y1, z1 = pt1
-        x2, y2, z2 = pt2
-        u = F.sub(F.mul(y1, z2), F.mul(z1, y2))
-        v = F.sub(F.mul(z1, x2), F.mul(x1, z2))
-        w = F.sub(F.mul(x1, y2), F.mul(y1, x2))
-        return normalize_point(F, u, v, w)
 
     def fixed_points_on_h(self, g):
         """Exact count of fixed rational curve points, via the fixed geometry."""

@@ -255,6 +255,20 @@ def test_diagonal_instances_cover_all_torus_subgroups():
         )
 
 
+@pytest.mark.parametrize("n", [6, 10, 14, 26, 30])
+def test_a1_contains_matches_the_spanned_pairs(n):
+    for d, e, a in catalog._a1_triples(n):
+        pairs = {
+            ((x * (n // d) + y * a) % n, y * (n // e) % n)
+            for x in range(d)
+            for y in range(e)
+        }
+        assert len(pairs) == d * e
+        for i in range(n):
+            for j in range(n):
+                assert catalog._a1_contains(n, d, e, a, i, j) == ((i, j) in pairs)
+
+
 def test_point_stabilizer_realizability():
     # mu = 8 at q = 9 needs the torus character defined over GF(9), so only
     # the full-height elation block admits it

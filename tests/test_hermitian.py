@@ -1,15 +1,8 @@
-"""Hermitian point sets, polarity, chord/tangent intersection counts."""
+"""Hermitian point sets, normalization and index lookup."""
 
 import pytest
 
-from gk2genus.hermitian import (
-    hermitian_points,
-    is_isotropic,
-    line_points,
-    normalize_point,
-    polar_line,
-    pole_of,
-)
+from gk2genus.hermitian import hermitian_points, is_isotropic, normalize_point
 
 
 def test_point_counts():
@@ -37,65 +30,6 @@ def test_normalization():
             assert normalize_point(F, *scaled) == pt
     with pytest.raises(ValueError):
         normalize_point(F, 0, 0, 0)
-
-
-def test_polarity_involution():
-    for q in [2, 3, 4, 5]:
-        H = hermitian_points(q)
-        F = H.F
-        seen = set()
-        for xc in range(F.card):
-            for yc in range(F.card):
-                for zc in (0, 1):
-                    if xc == yc == zc == 0:
-                        continue
-                    pt = normalize_point(F, xc, yc, zc)
-                    if pt in seen:
-                        continue
-                    seen.add(pt)
-                    assert pole_of(F, q, polar_line(F, q, pt)) == pt
-
-
-def test_polar_of_pole_is_chord_line():
-    H = hermitian_points(4)
-    assert polar_line(H.F, 4, (0, 0, 1)) == (0, 0, 1)  # the line Z = 0
-
-
-def test_tangent_and_chord_counts():
-    for q in [2, 4, 5]:
-        H = hermitian_points(q)
-        F = H.F
-        # tangent at a curve point meets the curve exactly once
-        pt = H.points[0]
-        tangent = polar_line(F, q, pt)
-        a, b = _two_points_of_line(F, tangent)
-        on_curve = [r for r in line_points(F, a, b) if is_isotropic(F, q, r)]
-        assert on_curve == [pt]
-        # polar of an off-curve point is a chord with q + 1 curve points
-        off = (1, 0, 0)
-        assert not is_isotropic(F, q, off)
-        chord = polar_line(F, q, off)
-        a, b = _two_points_of_line(F, chord)
-        on_curve = [r for r in line_points(F, a, b) if is_isotropic(F, q, r)]
-        assert len(on_curve) == q + 1
-
-
-def _two_points_of_line(F, line):
-    u, v, w = line
-    found = []
-    for xc in range(F.card):
-        for yc in range(F.card):
-            for zc in (0, 1):
-                if xc == yc == zc == 0:
-                    continue
-                s = F.add(F.add(F.mul(u, xc), F.mul(v, yc)), F.mul(w, zc))
-                if s == 0:
-                    pt = normalize_point(F, xc, yc, zc)
-                    if pt not in found:
-                        found.append(pt)
-                        if len(found) == 2:
-                            return found
-    raise AssertionError("line with fewer than two points")
 
 
 def test_lookup_roundtrip():
