@@ -16,9 +16,12 @@ central kernel C_m; no field GF(q^(2n)) is built.
 MlContext(q) carries the curve points, dense lookup tables, the chord
 frame, the standard subgroup inventory (center Z, commutator S_ell, the
 elation groups at the chord points R0 and R1, the cyclic two-point-stabilizer
-torus and its swap coset), element types by fixed-point geometry read from
-the eigenvectors of the chord block [[a, t*c^q], [c, t*a^q]], orbit counting
-on curve points, and the tame quotient genus.  The chord frame
+torus and its swap coset), the element type table, orbit counting on curve
+points, and the tame quotient genus; the tables, the frame, the inventory and
+the type table are complete at construction.  An element's type is its
+fixed-point geometry, read once per (trace, det, scalar) class from the
+eigenvectors of the chord block [[a, t*c^q], [c, t*a^q]] and looked up after
+that.  The chord frame
 is a basis change P taking the basis to R0 and R1 and the Hermitian form to
 J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
 into the chord element it stands for, and the inventory is built that way.
@@ -100,8 +103,9 @@ class MlContext:
     """Everything needed to compute inside M_ell for one prime power q.
 
     The context is complete at construction: the dense field tables, the
-    numpy point coordinates and the standard subgroup inventory are all
-    built in __init__, so every method can be called on a fresh context.
+    numpy point coordinates, the element type table and the standard
+    subgroup inventory are all built in __init__, so every method can be
+    called on a fresh context.
     """
 
     def __init__(self, q):
@@ -129,6 +133,7 @@ class MlContext:
         self.INV = F.np_pow_vec(-1)
         self.SQ = F.np_pow_vec(2)
         self.X, self.Y, self.Z = self.pts.np_coords()
+        self._build_type_table()
         self._ensure_structure()
 
     # -- element operations -------------------------------------------------
@@ -267,6 +272,41 @@ class MlContext:
     # -- element classification -----------------------------------------------
 
     def classify(self, g):
+        """Fixed-point geometry tag of a nonidentity element, looked up by (tr B, det B, B scalar).
+
+        A non-scalar chord block B = [[a, t c^q], [c, t a^q]] is cyclic, so (tr B, det B = t)
+        fixes its GL(2, q^2) class, which meets GU(2, q) in one class (G. E. Wall, 1963);
+        GU(2, q)-conjugates, by diag(X, 1), have one type.
+        """
+        if g == self.identity:
+            raise ValueError("identity has no type")
+        a, c, t = g
+        F = self.F
+        v = F.mul(t, self.frobq[a])
+        return self._types[F.add(a, v), t, c == 0 and a == v]
+
+    def _build_type_table(self):
+        """Classify the first element of each (tr, det, scalar) key; run once, by __init__.
+
+        The keys come from numpy gathers over S_ell, one det = t at a time.
+        Keys with different t differ, so np.unique's first index per key in
+        the column of t is the first element of that key in iter_elements
+        order.  Only the identity has the identity's key, and it is skipped.
+        """
+        s = np.array(self.s_ell, dtype=np.int32)
+        a, diagonal = s[:, 0], s[:, 1] == 0  # B is diagonal exactly when c = 0
+        aq = np.array(self.frobq, dtype=np.int32)[a]
+        self._types = {}
+        for t in self.mu:
+            v = self.MUL[t, aq]
+            # key 2 tr B + [B scalar] within the column of t
+            keys, rows = np.unique(self.ADD[a, v] * 2 + (diagonal & (a == v)), return_index=True)
+            for k, row in zip(keys.tolist(), rows.tolist()):
+                g = (self.s_ell[row][0], self.s_ell[row][1], t)
+                if g != self.identity:
+                    self._types[k >> 1, t, bool(k & 1)] = self._classify_block(g)
+
+    def _classify_block(self, g):
         """Fixed-point geometry tag of a nonidentity element, read from its chord block.
 
         g acts as diag(B, 1) with B = [[a, u], [c, v]], u = t c^q, v = t a^q.
@@ -274,8 +314,6 @@ class MlContext:
         one of them and P = (0:0:1) is fixed pointwise exactly when that
         eigenvector's eigenvalue is 1, the eigenvalue of P.
         """
-        if g == self.identity:
-            raise ValueError("identity has no type")
         a, c, t = g
         F, q, frobq = self.F, self.q, self.frobq
         v = F.mul(t, frobq[a])

@@ -154,6 +154,28 @@ def test_classification_order_constraints():
                 assert o % p == 0 and o != p and (q + 1) % (o // p) == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25])
+def test_type_table_matches_the_chord_block(q):
+    ctx = ml_context(q)
+    assert len(ctx._types) == q * q + 2 * q
+    if q <= 13:
+        elements = ctx.iter_elements()
+    else:
+        rng = random.Random(q)
+        elements = (ctx.random_element(rng) for _ in range(20000))
+    for g in elements:
+        if g != ctx.identity:
+            assert ctx.classify(g) == ctx._classify_block(g), g
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_identity_has_no_type_and_fixes_every_point(q):
+    ctx = ml_context(q)
+    with pytest.raises(ValueError):
+        ctx.classify(ctx.identity)
+    assert ctx.fixed_points_on_h(ctx.identity) == q**3 + 1
+
+
 def test_fixed_points_match_brute_random():
     rng = random.Random(23)
     for q in (5, 8, 9, 13):
