@@ -9,9 +9,10 @@ candidates satisfy the order bookkeeping but carry no construction
 guarantee and are tagged constructed-only; reference tables include them,
 so the spectrum does too.  At q <= 25 every closed form is checked against
 the brute-force group action before anything is emitted; a disagreement
-aborts the run rather than producing unverified genera.  For larger q only
-the wild families with closed forms run and the report is marked
-incomplete.
+aborts the run rather than producing unverified genera.  For larger q
+(formula mode) only the wild families with closed forms run, and the report
+is marked incomplete.  Formula mode enumerates only the wild instances (604
+at q = 2^20 instead of 1,234,472); `catalog --q` still lists every instance.
 
 check_table replays a reference row and reports membership with witnesses.
 verify_all re-runs the per-instance certification suites and aggregates the
@@ -148,11 +149,22 @@ def _mismatch(inst, kind, formula_value, oracle_value):
     )
 
 
+def _instances(q):
+    """Every catalog instance up to SMALL_Q_LIMIT, the wild ones past it.
+
+    Tame instances need the group action, which formula mode does not have.
+    Oracle mode calls enumerate_instances(q) with no keyword, so it shares
+    its cache entry with `catalog --q`.
+    """
+    if q <= SMALL_Q_LIMIT:
+        return enumerate_instances(q)
+    return enumerate_instances(q, include_tame=False)
+
+
 def _instance_data(inst, oracle_mode):
     """(g_bar, n_orbits, provenance) for one instance, or None to skip it."""
     if not oracle_mode:
-        # tame instances need the group action, so formula mode skips them
-        closed = None if inst.tame else inst.genus_orbits()
+        closed = inst.genus_orbits()
         return None if closed is None else (closed[0], closed[1], "formula")
     closed = inst.genus_orbits()
     sub = instantiate(inst)
@@ -184,7 +196,7 @@ def spectrum(q, n):
     """
     m = formulas.m_of(q, n)
     formulas.divisors_of_m(q, n)  # reject an m the budget cannot factor before any instance
-    instances = enumerate_instances(q)
+    instances = _instances(q)
     oracle_mode = q <= SMALL_Q_LIMIT
     mode = "oracle" if oracle_mode else "formula"
     complete = oracle_mode and gcd(q + 1, n) == 1
@@ -302,7 +314,7 @@ def verify_all(q):
     """
     report = {"schema": VERIFY_SCHEMA, "q": q, "rejected": False}
     try:
-        instances = enumerate_instances(q)
+        instances = _instances(q)
     except ValueError as exc:
         report.update(rejected=True, reason=str(exc), checks=[], passed=False)
         return report

@@ -26,6 +26,29 @@ def test_enumerate_rejects_unsupported_q():
         enumerate_instances(6)  # not a prime power
 
 
+@pytest.mark.parametrize(
+    "q", [2, 4, 8, 16, 32, 64, 1024, 4096, 5, 9, 13, 17, 25, 29, 37, 49, 81, 125, 2401]
+)
+def test_wild_only_enumeration_filters_the_full_catalog(q):
+    full = enumerate_instances(q)
+    wild = enumerate_instances(q, include_tame=False)
+    assert wild == tuple(inst for inst in full if not inst.tame)
+
+
+@pytest.mark.parametrize("q", [6, 27, 2**21])
+def test_wild_only_enumeration_rejects_the_same_q(q):
+    with pytest.raises(ValueError) as full:
+        enumerate_instances(q)
+    with pytest.raises(ValueError) as wild:
+        enumerate_instances(q, include_tame=False)
+    assert str(wild.value) == str(full.value)
+
+
+def test_wild_only_enumeration_at_the_largest_q():
+    # the full catalog has 1,234,472 instances here; building it is what this avoids
+    assert len(enumerate_instances(2**20, include_tame=False)) == 604
+
+
 def test_enumerate_unique_and_consistent():
     for q in (2, 4, 5, 8, 9, 13):
         instances = enumerate_instances(q)

@@ -110,11 +110,18 @@ def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys, monk
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--q", "4"]) == 0
     assert "PASS" in capsys.readouterr().out
-    # rejected q values are invalid arguments
-    for q in ("7", "49"):
+    # rejected q values are invalid arguments; the first failing check names the reason
+    for q, reason in (
+        ("7", "q=7 falls outside"),
+        ("27", "q=27 falls outside"),
+        ("0", "q must be a prime power"),
+        ("2097152", "exceeds the supported bound"),
+        ("49", "q=49 exceeds the explicit-construction bound"),
+        ("1048576", "q=1048576 exceeds the explicit-construction bound"),
+    ):
         assert main(["verify", "--q", q]) == 2
         out = capsys.readouterr().out
-        assert "FAIL" in out and "rejected" in out
+        assert "FAIL" in out and "rejected: " in out and reason in out
 
 
 def test_catalog_listing(capsys):
