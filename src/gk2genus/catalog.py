@@ -131,7 +131,7 @@ def _center_gen(ctx, w):
 
 
 def _involution_count(ctx, sub):
-    return sum(1 for g in sub.elements if g != ctx.identity and ctx.power(g, 2) == ctx.identity)
+    return sum(1 for g in sub.elements if g != ctx.identity and ctx.compose(g, g) == ctx.identity)
 
 
 def _conj(ctx, g, x):

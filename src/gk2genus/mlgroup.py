@@ -46,21 +46,38 @@ ML_CLOSURE_LIMIT = 2**22
 
 
 def closure(gens, mul, identity, maxsize=ML_CLOSURE_LIMIT):
-    """Breadth-first closure of hashable elements under an associative mul."""
-    els = {identity, *gens}
-    bdy = list(els)
-    gens = list(gens)
-    while bdy:
-        new = []
-        for A in gens:
-            for B in bdy:
-                C = mul(A, B)
-                if C not in els:
-                    els.add(C)
-                    new.append(C)
+    """The finite group generated by gens, as a set of hashable elements.
+
+    Dimino's algorithm: the group H closed so far grows by whole right
+    cosets H*y, so each new element costs one product.  Raises ValueError
+    once the element count passes maxsize: exactly when |<gens>| > maxsize.
+    """
+    els = set()
+
+    def add_coset(sub, y):
+        els.add(y)
+        els.update([mul(h, y) for h in sub])
         if len(els) > maxsize:
             raise ValueError("closure exceeded %d elements" % maxsize)
-        bdy = new
+
+    add_coset((), identity)  # the trivial group
+    used = []
+    for g in gens:
+        if g in els:
+            continue
+        used.append(g)
+        sub = [h for h in els if h != identity]  # H \ {1}: 1*y costs no product
+        add_coset(sub, g)
+        # els is a union of cosets of H, so one element outside it starts a
+        # new coset; every coset is reached as a representative times the
+        # generators added so far
+        reps = [g]
+        for x in reps:
+            for s in used:
+                y = mul(x, s)
+                if y not in els:
+                    add_coset(sub, y)
+                    reps.append(y)
     return els
 
 

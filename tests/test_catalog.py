@@ -3,7 +3,7 @@
 import pytest
 from sympy import divisors
 
-from gk2genus import catalog, formulas
+from gk2genus import catalog, formulas, mlgroup
 from gk2genus.catalog import (
     FamilyInstance,
     RecipeError,
@@ -348,3 +348,28 @@ def test_instantiate_certifies_the_involution_count(fresh_instantiate, monkeypat
     inst = [i for i in _by_family(5, "sl2_three") if i.param("w") == 1][0]
     with pytest.raises(RecipeError, match="involution"):
         instantiate(inst)
+
+
+@pytest.mark.parametrize("q", [9, 13, 16])
+def test_instantiate_closures_spend_about_one_compose_per_element(
+    q, fresh_instantiate, monkeypatch
+):
+    # coset closure builds each new element with one product, while a
+    # breadth-first closure spends about ten per element on these groups
+    spent = {"composes": 0, "elements": 0}
+
+    def counted_closure(gens, mul, identity, maxsize=mlgroup.ML_CLOSURE_LIMIT):
+        def counted_mul(a, b):
+            spent["composes"] += 1
+            return mul(a, b)
+
+        els = closure(gens, counted_mul, identity, maxsize=maxsize)
+        spent["elements"] += len(els)
+        return els
+
+    monkeypatch.setattr(mlgroup, "closure", counted_closure)
+    monkeypatch.setattr(catalog, "closure", counted_closure)
+    for inst in enumerate_instances(q):
+        instantiate(inst)
+    assert spent["elements"] > 0
+    assert spent["composes"] <= 2 * spent["elements"], spent

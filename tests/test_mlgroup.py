@@ -298,6 +298,72 @@ def test_closure_guard():
         closure(ctx.s_ell_gens, ctx.compose, ctx.identity, maxsize=10)
 
 
+def _bfs_closure(gens, mul, identity):
+    """Reference closure: multiply every generator by every boundary element."""
+    els = {identity, *gens}
+    bdy = list(els)
+    while bdy:
+        new = []
+        for A in gens:
+            for B in bdy:
+                C = mul(A, B)
+                if C not in els:
+                    els.add(C)
+                    new.append(C)
+        bdy = new
+    return els
+
+
+def _closure_cases():
+    """(name, compose, identity, generator lists) over M_ell and the tower group.
+
+    Each context gets seeded lists of 1-4 generators, among them a duplicate,
+    the identity, and a generator already inside the span of the ones before.
+    """
+    rng = random.Random(83)
+    contexts = [("M_ell q=%d" % q, ml_context(q)) for q in (2, 3, 4, 5, 7, 8, 9)]
+    contexts += [("K_n q=%d n=%d" % qn, kn_context(*qn)) for qn in ((2, 3), (5, 3))]
+    cases = []
+    for name, ctx in contexts:
+        els = list(ctx.iter_elements())
+
+        def pick():
+            return rng.choice(els)
+
+        g1, g2 = pick(), pick()
+        lists = [
+            [g1],
+            [g1, g1],
+            [ctx.identity],
+            [ctx.identity, g2, g1],
+            [g1, g2, ctx.compose(g2, g1)],
+            [g1, ctx.compose(g1, g1), g2, g1],
+        ]
+        lists += [[pick() for _ in range(rng.randint(1, 4))] for _ in range(4)]
+        cases.append((name, ctx.compose, ctx.identity, lists))
+    return cases
+
+
+def test_closure_matches_the_breadth_first_reference():
+    ctx = ml_context(4)
+    assert closure([], ctx.compose, ctx.identity) == {ctx.identity}
+    for name, mul, identity, lists in _closure_cases():
+        for gens in lists:
+            expected = _bfs_closure(gens, mul, identity)
+            assert closure(gens, mul, identity) == expected, (name, gens)
+
+
+def test_closure_guard_raises_exactly_past_maxsize():
+    # catalog._invariant_elation_gens relies on this: its greedy scan keeps a
+    # candidate exactly when the span stays within the target order
+    for name, mul, identity, lists in _closure_cases():
+        for gens in lists:
+            order = len(_bfs_closure(gens, mul, identity))
+            assert len(closure(gens, mul, identity, maxsize=order)) == order
+            with pytest.raises(ValueError, match="closure exceeded %d" % (order - 1)):
+                closure(gens, mul, identity, maxsize=order - 1)
+
+
 def test_subgroup_det_preimage():
     ctx = ml_context(4)
     sub = DetPreimage(ctx, ctx.s_ell_gens + [ctx.z_gen])
