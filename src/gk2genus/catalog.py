@@ -58,12 +58,6 @@ class FamilyInstance:
     def param_dict(self):
         return dict(self.params)
 
-    def param(self, name):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def label(self):
         inner = ",".join("%s=%d" % kv for kv in self.params)
         return "%s[q=%d%s%s]" % (self.family, self.q, "," if inner else "", inner)

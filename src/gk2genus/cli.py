@@ -14,14 +14,14 @@ arguments.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from .catalog import enumerate_instances
 from .engine import (
     MismatchError,
+    _csv_rows,
+    _json,
     check_table,
     classify_elements,
     row_passed,
@@ -84,16 +84,6 @@ def _emit(text, output):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json(tree):
-    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_rows(rows):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 def _run_spectrum(ns):

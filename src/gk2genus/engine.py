@@ -27,6 +27,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from . import formulas
@@ -36,6 +37,16 @@ from .mlgroup import ml_context
 SPECTRUM_SCHEMA = "gk2genus.spectrum/1"
 VERIFY_SCHEMA = "gk2genus.verify/1"
 ERRATA_SCHEMA = "gk2genus.errata/1"
+
+
+def _json(tree):
+    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_rows(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 class MismatchError(RuntimeError):
@@ -123,15 +134,11 @@ class SpectrumReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json(self.to_dict())
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["genus", "witness"])
-        for genus in self.genera:
-            writer.writerow([genus, self._witnesses[genus].witness_label()])
-        return buf.getvalue()
+        rows = ((genus, self._witnesses[genus].witness_label()) for genus in self.genera)
+        return _csv_rows(chain([("genus", "witness")], rows))
 
 
 def _mismatch(inst, kind, formula_value, oracle_value):

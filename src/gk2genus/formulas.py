@@ -61,16 +61,6 @@ def m_of(q, n):
     return (q**n + 1) // (q + 1)
 
 
-def kn_genus(q, n):
-    """Genus of the second generalized GK function field itself."""
-    return lift_genus(q, n, hermitian_genus(q), q**3 + 1, 1)
-
-
-def genus_upper_bound(q, n):
-    """Largest genus any subfield can have: the bound q'(q' - 1)/2 at q' = q^n."""
-    return q**n * (q**n - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # Lifting rules.
 #
@@ -482,35 +472,7 @@ def point_stabilizer_quotient(q, mu, u):
     return _as_count(g, "genus"), _as_count(n, "orbit count")
 
 
-def unitary_pm_orbit_count_rejected(q, k, w):
-    """Rejected orbit-count variant: fixed term (q + 1) a / w; see ERRATA."""
-    _, adopted = unitary_pm_quotient(q, k, w)
-    pk = prime_power(q)[0] ** k
-    a = gcd(pk + 1, w)
-    # the adopted fixed term is (q + 1) a / ((p^k + 1) w); add the difference
-    return _as_count(adopted + Fraction((q + 1) * a * pk, (pk + 1) * w), "orbit count")
-
-
-def sl2_five_orbit_count_rejected(q, w):
-    """Rejected orbit-count variant for the 5 | (q^2 - 1) branches; see ERRATA."""
-    p, _ = _odd_qhw(q, w)
-    if p != 3 or w % 5 == 0:
-        raise ValueError("the rejected variant applies only for p = 3 and 5 not dividing w")
-    head = Fraction(q + 99, 60) if (q - 1) % 5 == 0 else Fraction(q + 51, 60)
-    n = head + Fraction(q * (q - 1) * (q + 1), 15 * w)
-    return _as_count(n, "orbit count")
-
-
-def sl2_two_orbit_count_rejected(q, w):
-    """Rejected orbit-count variant for the h odd, 3 | w branch; see ERRATA."""
-    h = _even_qhw(q, w)
-    if h % 2 == 0 or w % 3 != 0:
-        raise ValueError("the rejected variant applies only for h odd and 3 | w")
-    n = Fraction(q + 4, 6) + Fraction((q + 1) * (q * q - q - 2), w) + Fraction(q + 1, w)
-    return _as_count(n, "orbit count")
-
-
-# Rejected near-miss expressions, retained so tests can demonstrate that
+# Rejected near-miss expressions, recorded so tests can demonstrate that
 # they contradict the brute-force orbit counts.  Each entry records the
 # closed form, the catalog family it serves, the adopted form, and a witness
 # (q and the instance parameters) where the variants disagree.

@@ -2,7 +2,7 @@
 
 Elements are plain int codes, with no element object: the code of
 c0 + c1*x + ... is sum(ci * p^i).  Every canonical choice (modulus,
-primitive element, embedding root) uses one rule: smallest candidate in
+primitive element) uses one rule: smallest candidate in
 coefficient-lex order, coefficients compared low-degree first.  Fields
 have at most 2^15 elements, and every field is tabled at construction:
 exp/log arrays over the canonical generator make mul/inv/pow/order O(1)
@@ -193,9 +193,6 @@ class FieldCtx:
             raise ValueError("0 has no multiplicative order")
         return self._n // gcd(self._log[a], self._n)
 
-    def lex_key(self, code):
-        return _coeffs_of(code, self.p, self.k)
-
     # -- vectorized tables (small fields only) --------------------------------
 
     def _np_logs(self):
@@ -264,49 +261,4 @@ def roots_of_unity(ctx, d):
     for _ in range(d - 1):
         out.append(ctx.mul(out[-1], z))
     return out
-
-
-@lru_cache(maxsize=None)
-def embed_codes(sub, sup):
-    """Code-level embedding table GF(p^j) -> GF(p^k), cached."""
-    if sub.p != sup.p:
-        raise ValueError("characteristics differ")
-    if sup.k % sub.k:
-        raise ValueError("GF(%d^%d) is not a subfield of GF(%d^%d)" % (sub.p, sub.k, sup.p, sup.k))
-    if sub is sup:
-        return tuple(range(sub.card))
-    if sub.k == 1:
-        # constant polynomials: the prime field embeds code-for-code
-        return tuple(range(sub.p))
-    # the subfield copy inside sup is {0} + the cyclic group of order sub.card-1
-    sub_n = sub.card - 1
-    step = (sup.card - 1) // sub_n
-    h = sup.pow(sup.gen_code, step)
-    candidates = [1]
-    c = 1
-    for _ in range(sub_n - 1):
-        c = sup.mul(c, h)
-        candidates.append(c)
-    mod = sub.modulus
-    roots = []
-    for c in candidates:
-        acc = 0
-        for coeff in reversed(mod):
-            acc = sup.add(sup.mul(acc, c), coeff % sub.p)
-        if acc == 0:
-            roots.append(c)
-    if len(roots) != sub.k:
-        raise AssertionError("expected %d roots, found %d" % (sub.k, len(roots)))
-    r = min(roots, key=sup.lex_key)
-    powers = [1]
-    for _ in range(sub.k - 1):
-        powers.append(sup.mul(powers[-1], r))
-    table = []
-    for code in range(sub.card):
-        acc = 0
-        for c, rp in zip(_coeffs_of(code, sub.p, sub.k), powers):
-            if c:
-                acc = sup.add(acc, sup.mul(c, rp))
-        table.append(acc)
-    return tuple(table)
 

@@ -17,28 +17,6 @@ from .formulas import prime_power
 from .gf import make_field
 
 
-def normalize_point(F, x, y, z):
-    """Scale a nonzero projective triple of codes so its last nonzero coord is 1."""
-    if z:
-        s = F.inv(z)
-        return (F.mul(x, s), F.mul(y, s), 1)
-    if y:
-        s = F.inv(y)
-        return (F.mul(x, s), 1, 0)
-    if x:
-        return (1, 0, 0)
-    raise ValueError("zero vector is not a projective point")
-
-
-def is_isotropic(F, q, pt):
-    """Whether a normalized point lies on the Hermitian curve."""
-    x, y, z = pt
-    val = F.pow(x, q + 1)
-    val = F.sub(val, F.pow(y, q + 1))
-    val = F.sub(val, F.pow(z, q + 1))
-    return val == 0
-
-
 class HermitianPointSet:
     """The q^3 + 1 curve points, with index lookup and numpy views."""
 

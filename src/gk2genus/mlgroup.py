@@ -1,22 +1,17 @@
-"""The automorphism groups acting on the Hermitian curve and the GK tower.
+"""The automorphism group M_ell acting on the Hermitian curve.
 
-Two groups live here.  M_ell is the subgroup of PGU(3,q) induced on the
-Hermitian curve by the full automorphism group of the tower field; its
-elements are triples (a, c, t) of GF(q^2) codes standing for the matrix
+M_ell is the subgroup of PGU(3,q) induced on the Hermitian curve by the
+full automorphism group of the tower field; its elements are triples
+(a, c, t) of GF(q^2) codes standing for the matrix
 
     [[a, t*c^q, 0],
      [c, t*a^q, 0],
      [0, 0,     1]]    with  a^(q+1) - c^(q+1) = 1,  t^(q+1) = 1.
 
-The tower group Aut(K_n) has elements (a, c, k), where k is the exponent
-of xi = zeta^k in mu_(q^n+1) over a fixed generator zeta with zeta^m = eps
-and m = (q^n+1)/(q+1).  It projects onto M_ell by xi -> xi^m = eps^k, with
-central kernel C_m; no field GF(q^(2n)) is built.
-
 MlContext(q) carries the curve points, dense lookup tables, the chord
 frame, the standard subgroup inventory (center Z, commutator S_ell, the
-elation groups at the chord points R0 and R1, the cyclic two-point-stabilizer
-torus and its swap coset), the element type table, orbit counting on curve
+elation groups at the chord points R0 and R1, the two-point-stabilizer torus
+generator and its swap coset), the element type table, orbit counting on curve
 points, and the tame quotient genus; the tables, the frame, the inventory and
 the type table are complete at construction.  An element's type is its
 fixed-point geometry, read once per (trace, det, scalar) class from the
@@ -25,22 +20,19 @@ that.  The chord frame
 is a basis change P taking the basis to R0 and R1 and the Hermitian form to
 J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
 into the chord element it stands for, and the inventory is built that way.
-KnContext(q, n) carries the tower group and the triple
-decomposition/reconstruction of its subgroups.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .formulas import m_of
+from .formulas import hermitian_genus
 from .gf import _NP_TABLE_LIMIT, roots_of_unity
-from .hermitian import hermitian_points, normalize_point
+from .hermitian import hermitian_points
 
 ML_CLOSURE_LIMIT = 2**22
 
@@ -137,7 +129,6 @@ class MlContext:
         self.F = F = self.pts.F
         self.card = F.card
         self.mu = roots_of_unity(F, q + 1)
-        self.mu_set = frozenset(self.mu)
         self.eps = self.mu[1]
         self.identity = (1, 0, 1)
         self.frobq = [F.pow(cde, q) for cde in range(F.card)]
@@ -173,9 +164,6 @@ class MlContext:
         tq = self.frobq[t]  # t^q = t^(-1) on mu_(q+1)
         return (self.frobq[a], F.neg(F.mul(c, tq)), tq)
 
-    def det_rho(self, g):
-        return g[2]
-
     def is_element(self, g):
         a, c, t = g
         F = self.F
@@ -185,32 +173,24 @@ class MlContext:
         )
 
     def power(self, g, e):
+        # square-and-multiply from the lowest set bit of e up to its highest
         if e < 0:
             return self.power(self.inverse(g), -e)
-        out = self.identity
-        base = g
-        while e:
-            if e & 1:
-                out = self.compose(out, base)
-            base = self.compose(base, base)
+        if e == 0:
+            return self.identity
+        while not e & 1:
+            g = self.compose(g, g)
             e >>= 1
+        out = g
+        while e > 1:
+            g = self.compose(g, g)
+            e >>= 1
+            if e & 1:
+                out = self.compose(out, g)
         return out
 
     def order_of(self, g):
         return len(self.cyclic_group(g))
-
-    def apply(self, g, pt):
-        a, c, t = g
-        x, y, z = pt
-        F = self.F
-        u = F.mul(t, self.frobq[c])
-        v = F.mul(t, self.frobq[a])
-        return normalize_point(
-            F,
-            F.add(F.mul(a, x), F.mul(u, y)),
-            F.add(F.mul(c, x), F.mul(v, y)),
-            z,
-        )
 
     def cyclic_group(self, g):
         """The powers identity, g, g^2, ... of g, up to its order."""
@@ -248,13 +228,6 @@ class MlContext:
         """The permutation of curve point indices induced by g."""
         Xi, Yi, Zi = self._image_coords(g)
         return self.pts.lookup(Xi, Yi, Zi)
-
-    def count_fixed_brute(self, g):
-        """Literal fixed-point count on the curve (test oracle)."""
-        if g == self.identity:
-            return len(self.pts)
-        Xi, Yi, Zi = self._image_coords(g)
-        return int(np.count_nonzero((Xi == self.X) & (Yi == self.Y)))
 
     def orbit_counts(self, gens):
         """(chord orbits, affine orbits) of the subgroup generated by gens.
@@ -389,7 +362,7 @@ class MlContext:
         n = len(elements)
         if n % self.p == 0:
             raise ValueError("group order is divisible by p; quotient is not tame")
-        gh = self.q * (self.q - 1) // 2
+        gh = hermitian_genus(self.q)
         total = 0
         for g in elements:
             if g != self.identity:
@@ -412,16 +385,13 @@ class MlContext:
         self.R1 = self.pts.points[1]
         # center Z: homologies fixing the chord pointwise
         self.z_gen = (self.eps, 0, F.mul(self.eps, self.eps))
-        self.z_elements = self.cyclic_group(self.z_gen)
         if self.p != 2:
             self.beta = (F.neg(1), 0, F.neg(1))
             self.z1_gen = self.compose(self.z_gen, self.z_gen)
-            self.z1_elements = self.cyclic_group(self.z1_gen)
         else:
             self.beta = None
             self.z1_gen = self.z_gen
-            self.z1_elements = self.z_elements
-        self.s_ell_set = frozenset(self.s_ell)
+        self.z1_elements = self.cyclic_group(self.z1_gen)
         # the frame P sends the basis to R0 = (x0 : 1 : 0) and a multiple of
         # R1 = (x1 : 1 : 0), scaled so that the Hermitian form becomes
         # J = [[0, delta], [-delta, 0]] with delta^(q-1) = -1
@@ -448,13 +418,8 @@ class MlContext:
         # over the q-subfield are the elations fixing R0 or R1
         units = range(1, self.card)
         subfield = [b for b in units if self.frobq[b] == b]
-
-        def diag(lam):
-            return self.frame_element(((lam, 0), (0, F.pow(lam, -q))))
-
-        self.torus = [diag(lam) for lam in units]
         self.wcoset = [self.frame_element(((0, al), (F.neg(F.pow(al, -q)), 0))) for al in units]
-        self.torus_gen = diag(F.gen_code)
+        self.torus_gen = self.frame_element(((F.gen_code, 0), (0, F.pow(F.gen_code, -q))))
         if self.order_of(self.torus_gen) != q * q - 1:
             raise AssertionError("torus generator has the wrong order")
         e_q = sorted(self.frame_element(((1, b), (0, 1))) for b in subfield)
@@ -491,15 +456,6 @@ class MlContext:
             raise ValueError("frame matrix does not preserve the Hermitian form")
         return (a, c, t)
 
-    def random_element(self, rng):
-        a, c, _ = rng.choice(self.s_ell)
-        return (a, c, rng.choice(self.mu))
-
-    def random_subgroup(self, rng):
-        g1 = self.random_element(rng)
-        g2 = self.random_element(rng)
-        return Subgroup.from_closure(self, [g1, g2])
-
 
 @lru_cache(maxsize=None)
 def ml_context(q):
@@ -507,14 +463,13 @@ def ml_context(q):
 
 
 class Subgroup:
-    """A subgroup of M_ell: generators plus its sorted element list."""
+    """A subgroup of M_ell: generators plus its element set."""
 
     def __init__(self, ctx, gens, elements):
         self.ctx = ctx
         self.gens = list(gens)
-        self._members = frozenset(elements)
-        self.elements = sorted(self._members)
-        self.order = len(self.elements)
+        self.elements = elements
+        self.order = len(elements)
         self._orbits = None
 
     @classmethod
@@ -523,14 +478,14 @@ class Subgroup:
         return cls(ctx, gens, els)
 
     def __contains__(self, g):
-        return g in self._members
+        return g in self.elements
 
     def det_image_order(self):
         """Order of the determinant image inside the cyclic group mu_(q+1)."""
         ctx = self.ctx
         out = 1
         for g in self.gens:
-            t = ctx.det_rho(g)
+            t = g[2]
             o = 1 if t == 1 else ctx.F.order_of(t)
             out = out * o // math.gcd(out, o)
         return out
@@ -543,9 +498,6 @@ class Subgroup:
     def n_orbits(self):
         n1, n2 = self.orbit_counts()
         return n1 + n2
-
-    def z_intersection_order(self):
-        return sum(1 for z in self.ctx.z_elements if z in self)
 
     def z1_intersection_order(self):
         return sum(1 for z in self.ctx.z1_elements if z in self)
@@ -580,158 +532,3 @@ class DetPreimage(Subgroup):
     def __contains__(self, g):
         return g[2] in self._dets
 
-
-# -- the tower group Aut(K_n) ---------------------------------------------------
-
-
-class KnContext:
-    """Aut(K_n) for the tower field K_n over GF(q^(2n)), n odd.
-
-    An element (a, c, k) stands for xi = zeta^k in mu_N, N = q^n + 1, over a
-    fixed generator zeta of mu_N with zeta^m = eps = mu[1].  Then xi^m =
-    eps^k, so pi sends k to tau = mu[k mod (q+1)] and C_m = ker(pi) is the
-    set of k divisible by q + 1; no field GF(q^(2n)) is built.  The product
-    is the M_ell product of the pi-images, with the exponents added mod N.
-    """
-
-    def __init__(self, q, n):
-        self.m = m_of(q, n)
-        self.ml = ml_context(q)
-        self.q = q
-        self.n = n
-        self.N = q**n + 1
-        self.identity = (1, 0, 0)
-        self.order = (q**3 - q) * self.N
-
-    def compose(self, g1, g2):
-        a, c, _ = self.ml.compose(self.pi(g1), self.pi(g2))
-        return (a, c, (g1[2] + g2[2]) % self.N)
-
-    def inverse(self, g):
-        a, c, _ = self.ml.inverse(self.pi(g))
-        return (a, c, -g[2] % self.N)
-
-    def tau(self, k):
-        """The determinant xi^m = eps^k of pi at xi = zeta^k; 1 exactly on mu_m."""
-        return self.ml.mu[k % (self.q + 1)]
-
-    def pi(self, g):
-        """Restriction to the Hermitian subfield: an M_ell element."""
-        a, c, k = g
-        return (a, c, self.tau(k))
-
-    def rho(self, g):
-        """The exponent k of the mu_(q^n+1) character xi = zeta^k."""
-        return g[2]
-
-    def iter_elements(self):
-        for a, c, _ in self.ml.s_ell:
-            for k in range(self.N):
-                yield (a, c, k)
-
-    def c_m_elements(self):
-        """The central kernel of pi: (1, 0, k) with zeta^(k m) = 1."""
-        return [(1, 0, k) for k in range(0, self.N, self.q + 1)]
-
-
-@lru_cache(maxsize=None)
-def kn_context(q, n):
-    return KnContext(q, n)
-
-
-@dataclass(frozen=True)
-class TripleSpec:
-    """Invariants (L0, L1, bar L) of a tower-group subgroup."""
-
-    q: int
-    n: int
-    r: int  # |L0|, the order of the character image
-    s: int  # |L0^m|, the number of cosets needed
-    l0: frozenset  # character image inside mu_(q^n+1), as exponents mod N
-    l1: frozenset  # the subgroup meeting S_ell x C_m
-    bar_l: frozenset  # image in M_ell
-
-
-def _check_triple_identities(kn, l0, l1, bar_l):
-    l0m = {k * kn.m % kn.N for k in l0}
-    tau_back = {kn.tau(k) for k in l0}
-    bar_dets = {g[2] for g in bar_l}
-    if tau_back != bar_dets:
-        raise AssertionError("determinant image of bar L differs from L0^m")
-    pi_l1 = {kn.pi(g) for g in l1}
-    bar_in_s = {g for g in bar_l if g[2] == 1}
-    if pi_l1 != bar_in_s:
-        raise AssertionError("pi(L1) is not bar L meet S_ell")
-    rho_l1 = {g[2] for g in l1}
-    if rho_l1 != {k for k in l0 if kn.tau(k) == 1}:
-        raise AssertionError("rho(L1) is not L0 meet mu_m")
-    return len(l0m)
-
-
-def triple_of(kn, elements):
-    """Decompose a subgroup of Aut(K_n) into its defining triple."""
-    l0 = frozenset(kn.rho(g) for g in elements)
-    l1 = frozenset(g for g in elements if kn.tau(kn.rho(g)) == 1)
-    bar_l = frozenset(kn.pi(g) for g in elements)
-    s = _check_triple_identities(kn, l0, l1, bar_l)
-    r = len(l0)
-    if r != s * math.gcd(r, kn.m):
-        raise AssertionError("character order violates r = s * gcd(r, m)")
-    return TripleSpec(kn.q, kn.n, r, s, l0, l1, bar_l)
-
-
-def group_from_triple(kn, spec):
-    """Rebuild a subgroup of Aut(K_n) from a triple, by coset representatives."""
-    l0, l1, bar_l = spec.l0, spec.l1, spec.bar_l
-    s = _check_triple_identities(kn, l0, l1, bar_l)
-    if s != spec.s or len(l0) != spec.r:
-        raise ValueError("triple spec is inconsistent with its own data")
-    center_part = {g for g in l1 if (g[0], g[1]) == (1, 0)}
-    wanted = {(1, 0, k) for k in l0 if kn.tau(k) == 1}
-    if center_part != wanted:
-        raise ValueError("L1 does not meet the central kernel in L0 meet mu_m")
-    # eta: canonical generator of the cyclic group L0; zeta^k has order N / gcd(k, N)
-    r = spec.r
-    gens = [k for k in sorted(l0) if kn.N // math.gcd(k, kn.N) == r]
-    if not gens:
-        raise ValueError("L0 has no generator of order r")
-    eta = gens[0]
-    reps = [kn.identity]
-    for i in range(1, s):
-        target = i * eta % kn.N
-        tau = kn.tau(target)
-        found = next(
-            ((a, c, target) for a, c, _ in kn.ml.s_ell if (a, c, tau) in bar_l), None
-        )
-        if found is None:
-            raise AssertionError("no coset representative with the prescribed character")
-        reps.append(found)
-    out = set()
-    for rep in reps:
-        for g in l1:
-            out.add(kn.compose(rep, g))
-    if len(out) != s * len(l1):
-        raise AssertionError("coset products collide")
-    # certify the reconstruction
-    if {kn.pi(g) for g in out} != set(bar_l):
-        raise AssertionError("reconstructed group has wrong image in M_ell")
-    if {kn.rho(g) for g in out} != set(l0):
-        raise AssertionError("reconstructed group has wrong character image")
-    if {g for g in out if kn.tau(kn.rho(g)) == 1} != set(l1):
-        raise AssertionError("reconstructed group has wrong L1")
-    _certify_closed(kn, out)
-    return out
-
-
-def _certify_closed(kn, elements):
-    """Check closure under composition: exhaustively when small, sampled when big."""
-    els = list(elements)
-    eset = set(elements)
-    if len(els) <= 256:
-        pairs = ((a, b) for a in els for b in els)
-    else:
-        rng = random.Random(0xC105ED)
-        pairs = ((rng.choice(els), rng.choice(els)) for _ in range(512))
-    for a, b in pairs:
-        if kn.compose(a, b) not in eset:
-            raise AssertionError("reconstructed set is not closed under composition")

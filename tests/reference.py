@@ -1,0 +1,361 @@
+"""Brute-force references that the tests check the product code against.
+
+They live in tests/, not in the package, so that each stays independent of
+the code it checks and the package holds only what the pipeline runs:
+
+* point normalization and curve membership on projective triples;
+* the canonical subfield embedding between two finite fields;
+* the genus of K_n itself, the subfield genus bound and the rejected
+  orbit-count variants recorded in formulas.ERRATA;
+* M_ell elements acting on points one at a time, literal fixed-point
+  counts, random elements and subgroups, and the center Z and the torus;
+* the tower group Aut(K_n) with elements (a, c, k), where k is the exponent
+  of xi = zeta^k in mu_(q^n+1) over a fixed generator zeta with zeta^m = eps
+  and m = (q^n+1)/(q+1).  It projects onto M_ell by xi -> xi^m = eps^k, with
+  central kernel C_m; no field GF(q^(2n)) is built.  triple_of and
+  group_from_triple decompose and rebuild its subgroups.
+"""
+
+import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from gk2genus.formulas import (
+    _as_count,
+    _even_qhw,
+    _odd_qhw,
+    hermitian_genus,
+    lift_genus,
+    m_of,
+    prime_power,
+    unitary_pm_quotient,
+)
+from gk2genus.gf import _coeffs_of
+from gk2genus.mlgroup import Subgroup, ml_context
+
+# -- points and fields -----------------------------------------------------------
+
+
+def normalize_point(F, x, y, z):
+    """Scale a nonzero projective triple of codes so its last nonzero coord is 1."""
+    if z:
+        s = F.inv(z)
+        return (F.mul(x, s), F.mul(y, s), 1)
+    if y:
+        s = F.inv(y)
+        return (F.mul(x, s), 1, 0)
+    if x:
+        return (1, 0, 0)
+    raise ValueError("zero vector is not a projective point")
+
+
+def is_isotropic(F, q, pt):
+    """Whether a normalized point lies on the Hermitian curve."""
+    x, y, z = pt
+    val = F.pow(x, q + 1)
+    val = F.sub(val, F.pow(y, q + 1))
+    val = F.sub(val, F.pow(z, q + 1))
+    return val == 0
+
+
+def lex_key(F, code):
+    """Coefficients of a code, low degree first: the canonical comparison key."""
+    return _coeffs_of(code, F.p, F.k)
+
+
+@lru_cache(maxsize=None)
+def embed_codes(sub, sup):
+    """Code-level embedding table GF(p^j) -> GF(p^k), cached."""
+    if sub.p != sup.p:
+        raise ValueError("characteristics differ")
+    if sup.k % sub.k:
+        raise ValueError("GF(%d^%d) is not a subfield of GF(%d^%d)" % (sub.p, sub.k, sup.p, sup.k))
+    if sub is sup:
+        return tuple(range(sub.card))
+    if sub.k == 1:
+        # constant polynomials: the prime field embeds code-for-code
+        return tuple(range(sub.p))
+    # the subfield copy inside sup is {0} + the cyclic group of order sub.card-1
+    sub_n = sub.card - 1
+    step = (sup.card - 1) // sub_n
+    h = sup.pow(sup.gen_code, step)
+    candidates = [1]
+    c = 1
+    for _ in range(sub_n - 1):
+        c = sup.mul(c, h)
+        candidates.append(c)
+    mod = sub.modulus
+    roots = []
+    for c in candidates:
+        acc = 0
+        for coeff in reversed(mod):
+            acc = sup.add(sup.mul(acc, c), coeff % sub.p)
+        if acc == 0:
+            roots.append(c)
+    if len(roots) != sub.k:
+        raise AssertionError("expected %d roots, found %d" % (sub.k, len(roots)))
+    r = min(roots, key=lambda code: lex_key(sup, code))
+    powers = [1]
+    for _ in range(sub.k - 1):
+        powers.append(sup.mul(powers[-1], r))
+    table = []
+    for code in range(sub.card):
+        acc = 0
+        for c, rp in zip(_coeffs_of(code, sub.p, sub.k), powers):
+            if c:
+                acc = sup.add(acc, sup.mul(c, rp))
+        table.append(acc)
+    return tuple(table)
+
+
+# -- genera and the rejected orbit counts of formulas.ERRATA ----------------------
+
+
+def kn_genus(q, n):
+    """Genus of the second generalized GK function field itself."""
+    return lift_genus(q, n, hermitian_genus(q), q**3 + 1, 1)
+
+
+def genus_upper_bound(q, n):
+    """Largest genus any subfield can have: the bound q'(q' - 1)/2 at q' = q^n."""
+    return q**n * (q**n - 1) // 2
+
+
+def unitary_pm_orbit_count_rejected(q, k, w):
+    """Rejected orbit-count variant: fixed term (q + 1) a / w; see ERRATA."""
+    _, adopted = unitary_pm_quotient(q, k, w)
+    pk = prime_power(q)[0] ** k
+    a = math.gcd(pk + 1, w)
+    # the adopted fixed term is (q + 1) a / ((p^k + 1) w); add the difference
+    return _as_count(adopted + Fraction((q + 1) * a * pk, (pk + 1) * w), "orbit count")
+
+
+def sl2_five_orbit_count_rejected(q, w):
+    """Rejected orbit-count variant for the 5 | (q^2 - 1) branches; see ERRATA."""
+    p, _ = _odd_qhw(q, w)
+    if p != 3 or w % 5 == 0:
+        raise ValueError("the rejected variant applies only for p = 3 and 5 not dividing w")
+    head = Fraction(q + 99, 60) if (q - 1) % 5 == 0 else Fraction(q + 51, 60)
+    n = head + Fraction(q * (q - 1) * (q + 1), 15 * w)
+    return _as_count(n, "orbit count")
+
+
+def sl2_two_orbit_count_rejected(q, w):
+    """Rejected orbit-count variant for the h odd, 3 | w branch; see ERRATA."""
+    h = _even_qhw(q, w)
+    if h % 2 == 0 or w % 3 != 0:
+        raise ValueError("the rejected variant applies only for h odd and 3 | w")
+    n = Fraction(q + 4, 6) + Fraction((q + 1) * (q * q - q - 2), w) + Fraction(q + 1, w)
+    return _as_count(n, "orbit count")
+
+
+# -- M_ell one element and one point at a time -------------------------------------
+
+
+def apply(ctx, g, pt):
+    """The image of a normalized curve point under g."""
+    a, c, t = g
+    x, y, z = pt
+    F = ctx.F
+    u = F.mul(t, ctx.frobq[c])
+    v = F.mul(t, ctx.frobq[a])
+    return normalize_point(
+        F,
+        F.add(F.mul(a, x), F.mul(u, y)),
+        F.add(F.mul(c, x), F.mul(v, y)),
+        z,
+    )
+
+
+def count_fixed_brute(ctx, g):
+    """Literal fixed-point count on the curve."""
+    if g == ctx.identity:
+        return len(ctx.pts)
+    Xi, Yi, Zi = ctx._image_coords(g)
+    return int(np.count_nonzero((Xi == ctx.X) & (Yi == ctx.Y)))
+
+
+def random_element(ctx, rng):
+    a, c, _ = rng.choice(ctx.s_ell)
+    return (a, c, rng.choice(ctx.mu))
+
+
+def random_subgroup(ctx, rng):
+    g1 = random_element(ctx, rng)
+    g2 = random_element(ctx, rng)
+    return Subgroup.from_closure(ctx, [g1, g2])
+
+
+def z_elements(ctx):
+    """The center Z: homologies fixing the chord pointwise."""
+    return ctx.cyclic_group(ctx.z_gen)
+
+
+def z_intersection_order(sub):
+    return sum(1 for z in z_elements(sub.ctx) if z in sub)
+
+
+def torus_elements(ctx):
+    """The cyclic torus fixing R0 and R1: frame images of diagonal matrices."""
+    F, q = ctx.F, ctx.q
+    return [ctx.frame_element(((lam, 0), (0, F.pow(lam, -q)))) for lam in range(1, ctx.card)]
+
+
+# -- the tower group Aut(K_n) -------------------------------------------------------
+
+
+class KnContext:
+    """Aut(K_n) for the tower field K_n over GF(q^(2n)), n odd.
+
+    An element (a, c, k) stands for xi = zeta^k in mu_N, N = q^n + 1, over a
+    fixed generator zeta of mu_N with zeta^m = eps = mu[1].  Then xi^m =
+    eps^k, so pi sends k to tau = mu[k mod (q+1)] and C_m = ker(pi) is the
+    set of k divisible by q + 1; no field GF(q^(2n)) is built.  The product
+    is the M_ell product of the pi-images, with the exponents added mod N.
+    """
+
+    def __init__(self, q, n):
+        self.m = m_of(q, n)
+        self.ml = ml_context(q)
+        self.q = q
+        self.n = n
+        self.N = q**n + 1
+        self.identity = (1, 0, 0)
+        self.order = (q**3 - q) * self.N
+
+    def compose(self, g1, g2):
+        a, c, _ = self.ml.compose(self.pi(g1), self.pi(g2))
+        return (a, c, (g1[2] + g2[2]) % self.N)
+
+    def inverse(self, g):
+        a, c, _ = self.ml.inverse(self.pi(g))
+        return (a, c, -g[2] % self.N)
+
+    def tau(self, k):
+        """The determinant xi^m = eps^k of pi at xi = zeta^k; 1 exactly on mu_m."""
+        return self.ml.mu[k % (self.q + 1)]
+
+    def pi(self, g):
+        """Restriction to the Hermitian subfield: an M_ell element."""
+        a, c, k = g
+        return (a, c, self.tau(k))
+
+    def rho(self, g):
+        """The exponent k of the mu_(q^n+1) character xi = zeta^k."""
+        return g[2]
+
+    def iter_elements(self):
+        for a, c, _ in self.ml.s_ell:
+            for k in range(self.N):
+                yield (a, c, k)
+
+    def c_m_elements(self):
+        """The central kernel of pi: (1, 0, k) with zeta^(k m) = 1."""
+        return [(1, 0, k) for k in range(0, self.N, self.q + 1)]
+
+
+@lru_cache(maxsize=None)
+def kn_context(q, n):
+    return KnContext(q, n)
+
+
+@dataclass(frozen=True)
+class TripleSpec:
+    """Invariants (L0, L1, bar L) of a tower-group subgroup."""
+
+    q: int
+    n: int
+    r: int  # |L0|, the order of the character image
+    s: int  # |L0^m|, the number of cosets needed
+    l0: frozenset  # character image inside mu_(q^n+1), as exponents mod N
+    l1: frozenset  # the subgroup meeting S_ell x C_m
+    bar_l: frozenset  # image in M_ell
+
+
+def _check_triple_identities(kn, l0, l1, bar_l):
+    l0m = {k * kn.m % kn.N for k in l0}
+    tau_back = {kn.tau(k) for k in l0}
+    bar_dets = {g[2] for g in bar_l}
+    if tau_back != bar_dets:
+        raise AssertionError("determinant image of bar L differs from L0^m")
+    pi_l1 = {kn.pi(g) for g in l1}
+    bar_in_s = {g for g in bar_l if g[2] == 1}
+    if pi_l1 != bar_in_s:
+        raise AssertionError("pi(L1) is not bar L meet S_ell")
+    rho_l1 = {g[2] for g in l1}
+    if rho_l1 != {k for k in l0 if kn.tau(k) == 1}:
+        raise AssertionError("rho(L1) is not L0 meet mu_m")
+    return len(l0m)
+
+
+def triple_of(kn, elements):
+    """Decompose a subgroup of Aut(K_n) into its defining triple."""
+    l0 = frozenset(kn.rho(g) for g in elements)
+    l1 = frozenset(g for g in elements if kn.tau(kn.rho(g)) == 1)
+    bar_l = frozenset(kn.pi(g) for g in elements)
+    s = _check_triple_identities(kn, l0, l1, bar_l)
+    r = len(l0)
+    if r != s * math.gcd(r, kn.m):
+        raise AssertionError("character order violates r = s * gcd(r, m)")
+    return TripleSpec(kn.q, kn.n, r, s, l0, l1, bar_l)
+
+
+def group_from_triple(kn, spec):
+    """Rebuild a subgroup of Aut(K_n) from a triple, by coset representatives."""
+    l0, l1, bar_l = spec.l0, spec.l1, spec.bar_l
+    s = _check_triple_identities(kn, l0, l1, bar_l)
+    if s != spec.s or len(l0) != spec.r:
+        raise ValueError("triple spec is inconsistent with its own data")
+    center_part = {g for g in l1 if (g[0], g[1]) == (1, 0)}
+    wanted = {(1, 0, k) for k in l0 if kn.tau(k) == 1}
+    if center_part != wanted:
+        raise ValueError("L1 does not meet the central kernel in L0 meet mu_m")
+    # eta: canonical generator of the cyclic group L0; zeta^k has order N / gcd(k, N)
+    r = spec.r
+    gens = [k for k in sorted(l0) if kn.N // math.gcd(k, kn.N) == r]
+    if not gens:
+        raise ValueError("L0 has no generator of order r")
+    eta = gens[0]
+    reps = [kn.identity]
+    for i in range(1, s):
+        target = i * eta % kn.N
+        tau = kn.tau(target)
+        found = next(
+            ((a, c, target) for a, c, _ in kn.ml.s_ell if (a, c, tau) in bar_l), None
+        )
+        if found is None:
+            raise AssertionError("no coset representative with the prescribed character")
+        reps.append(found)
+    out = set()
+    for rep in reps:
+        for g in l1:
+            out.add(kn.compose(rep, g))
+    if len(out) != s * len(l1):
+        raise AssertionError("coset products collide")
+    # certify the reconstruction
+    if {kn.pi(g) for g in out} != set(bar_l):
+        raise AssertionError("reconstructed group has wrong image in M_ell")
+    if {kn.rho(g) for g in out} != set(l0):
+        raise AssertionError("reconstructed group has wrong character image")
+    if {g for g in out if kn.tau(kn.rho(g)) == 1} != set(l1):
+        raise AssertionError("reconstructed group has wrong L1")
+    _certify_closed(kn, out)
+    return out
+
+
+def _certify_closed(kn, elements):
+    """Check closure under composition: exhaustively when small, sampled when big."""
+    els = list(elements)
+    eset = set(elements)
+    if len(els) <= 256:
+        pairs = ((a, b) for a in els for b in els)
+    else:
+        rng = random.Random(0xC105ED)
+        pairs = ((rng.choice(els), rng.choice(els)) for _ in range(512))
+    for a, b in pairs:
+        if kn.compose(a, b) not in eset:
+            raise AssertionError("reconstructed set is not closed under composition")

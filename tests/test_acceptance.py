@@ -21,12 +21,16 @@ from gk2genus import formulas
 from gk2genus.catalog import enumerate_instances, instantiate, s_of
 from gk2genus.engine import check_table, spectrum
 from gk2genus.golden import GOLDEN_ROWS
-from gk2genus.mlgroup import (
-    closure,
+from gk2genus.mlgroup import closure, ml_context
+from reference import (
+    count_fixed_brute,
     group_from_triple,
     kn_context,
-    ml_context,
+    random_subgroup,
+    sl2_five_orbit_count_rejected,
+    sl2_two_orbit_count_rejected,
     triple_of,
+    unitary_pm_orbit_count_rejected,
 )
 
 ORACLE_QS = (4, 8, 16, 5, 9, 13, 25)
@@ -188,13 +192,13 @@ def test_criterion_3_formula_vs_oracle_orbits(oracle_sweep):
     refuted = 0
     by_label = {inst.label(): n for inst, _, n, _ in rows}
     n_two = by_label["sl2_two[q=8,w=9]"]
-    assert formulas.sl2_two_orbit_count_rejected(8, 9) == 57 != n_two == 12
+    assert sl2_two_orbit_count_rejected(8, 9) == 57 != n_two == 12
     refuted += 1
     n_upm = by_label["unitary_pm[q=9,k=2,w=1]"]
-    assert formulas.unitary_pm_orbit_count_rejected(9, 2, 1) == 11 != n_upm == 2
+    assert unitary_pm_orbit_count_rejected(9, 2, 1) == 11 != n_upm == 2
     refuted += 1
     n_five = by_label["sl2_five[q=9,w=1]"]
-    assert formulas.sl2_five_orbit_count_rejected(9, 1) == 49 != n_five == 7
+    assert sl2_five_orbit_count_rejected(9, 1) == 49 != n_five == 7
     refuted += 1
     ok = mismatches == 0 and checked > 200 and refuted == 3 and elapsed < 1800
     _verdict(
@@ -302,10 +306,10 @@ def test_criterion_7_structural_suites():
                 continue
             rec = ctx.classify(g)
             assert rec.tag in {"A", "B1", "B2", "C", "E"}
-            assert rec.fix_h == ctx.count_fixed_brute(g)
+            assert rec.fix_h == count_fixed_brute(ctx, g)
             classified += 1
         for _ in range(50):
-            sub = ctx.random_subgroup(rng)
+            sub = random_subgroup(ctx, rng)
             fixed_total = sum(ctx.fixed_points_on_h(g) for g in sub.elements)
             assert fixed_total % sub.order == 0
             n1, n2 = sub.orbit_counts()

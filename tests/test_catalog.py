@@ -12,6 +12,7 @@ from gk2genus.catalog import (
     s_of,
 )
 from gk2genus.mlgroup import DetPreimage, closure, ml_context
+from reference import apply, z_intersection_order
 
 
 def _by_family(q, family):
@@ -63,7 +64,7 @@ def test_enumerate_unique_and_consistent():
 
 def test_elementary_abelian_example_even():
     insts = _by_family(4, "elementary_abelian")
-    assert {(inst.param("f"), inst.param("w")) for inst in insts} == {
+    assert {(inst.param_dict["f"], inst.param_dict["w"]) for inst in insts} == {
         (1, 1), (1, 5), (2, 1), (2, 5)
     }
     assert sorted(inst.order for inst in insts) == [2, 4, 10, 20]
@@ -73,8 +74,8 @@ def test_sl2_subfield_example_odd():
     insts = _by_family(5, "sl2_subfield")
     assert sorted(inst.order for inst in insts) == [120, 360]
     for inst in insts:
-        assert inst.param("k") == 1
-        assert inst.param("w") in (1, 3)
+        assert inst.param_dict["k"] == 1
+        assert inst.param_dict["w"] in (1, 3)
 
 
 def test_whole_normal_subgroup_at_q13():
@@ -82,7 +83,7 @@ def test_whole_normal_subgroup_at_q13():
     insts = [
         inst
         for inst in _by_family(13, "sl2_subfield")
-        if inst.param("k") == 1 and inst.param("w") == 1
+        if inst.param_dict["k"] == 1 and inst.param_dict["w"] == 1
     ]
     assert len(insts) == 1
     assert insts[0].order == 13**3 - 13 == 2184
@@ -90,11 +91,11 @@ def test_whole_normal_subgroup_at_q13():
 
 def test_triangle_example_even():
     insts = _by_family(4, "triangle")
-    assert {(inst.param("t"), inst.param("w")) for inst in insts} == {
+    assert {(inst.param_dict["t"], inst.param_dict["w"]) for inst in insts} == {
         (1, 1), (1, 5), (5, 1), (5, 5)
     }
     for inst in insts:
-        assert inst.order == 2 * inst.param("t") * inst.param("w")
+        assert inst.order == 2 * inst.param_dict["t"] * inst.param_dict["w"]
 
 
 def test_orders_match_instantiation():
@@ -109,11 +110,11 @@ def test_det_image_examples():
         if inst.family != "triangle" and inst.param_dict.get("w") == 5:
             assert s_of(inst) == 5, inst.label()
     sl25 = [
-        inst for inst in _by_family(5, "sl2_subfield") if inst.param("w") == 3
+        inst for inst in _by_family(5, "sl2_subfield") if inst.param_dict["w"] == 3
     ]
     assert len(sl25) == 1 and s_of(sl25[0]) == 3
     for inst in _by_family(9, "unitary_pm"):
-        assert s_of(inst) == 2 * inst.param("w"), inst.label()
+        assert s_of(inst) == 2 * inst.param_dict["w"], inst.label()
 
 
 def test_det_image_matches_oracle_everywhere():
@@ -151,7 +152,7 @@ def test_tail_clause_center_intersection():
                 continue
             w = inst.param_dict.get("w")
             if w is not None:
-                assert instantiate(inst).z_intersection_order() == w, inst.label()
+                assert z_intersection_order(instantiate(inst)) == w, inst.label()
     for q in (5, 9):
         for inst in enumerate_instances(q):
             w = inst.param_dict.get("w")
@@ -165,13 +166,13 @@ def test_unipotent_stabilizer_fixes_one_chord_point():
     inst = [
         i
         for i in _by_family(4, "elementary_abelian")
-        if i.param("f") == 2 and i.param("w") == 5
+        if i.param_dict["f"] == 2 and i.param_dict["w"] == 5
     ][0]
     sub = instantiate(inst)
     assert sub.order == 20
     chord = ctx.pts.points[: 4 + 1]
     fixed = [
-        pt for pt in chord if all(ctx.apply(g, pt) == pt for g in sub.elements)
+        pt for pt in chord if all(apply(ctx, g, pt) == pt for g in sub.elements)
     ]
     assert len(fixed) == 1
 
@@ -203,7 +204,7 @@ def test_dihedral_and_dicyclic_structure():
     dih = [
         inst
         for inst in _by_family(5, "dihedral")
-        if inst.param("d") == 4 and inst.param("w") == 1
+        if inst.param_dict["d"] == 4 and inst.param_dict["w"] == 1
     ][0]
     orders = sorted(ctx5.order_of(g) for g in instantiate(dih).elements)
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
@@ -211,7 +212,7 @@ def test_dihedral_and_dicyclic_structure():
     dic = [
         inst
         for inst in _by_family(5, "dicyclic")
-        if inst.param("d") == 2 and inst.param("w") == 1
+        if inst.param_dict["d"] == 2 and inst.param_dict["w"] == 1
     ][0]
     orders = sorted(ctx5.order_of(g) for g in instantiate(dic).elements)
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
@@ -223,7 +224,7 @@ def test_triangle_dihedral_quotient_marker():
     inst = [
         i
         for i in _by_family(4, "triangle")
-        if i.param("t") == 5 and i.param("w") == 1
+        if i.param_dict["t"] == 5 and i.param_dict["w"] == 1
     ][0]
     orders = sorted(ctx.order_of(g) for g in instantiate(inst).elements)
     assert orders == [1, 2, 2, 2, 2, 2, 5, 5, 5, 5]
@@ -296,14 +297,14 @@ def test_point_stabilizer_realizability():
     # mu = 8 at q = 9 needs the torus character defined over GF(9), so only
     # the full-height elation block admits it
     pairs = {
-        (inst.param("mu"), inst.param("u"))
+        (inst.param_dict["mu"], inst.param_dict["u"])
         for inst in _by_family(9, "point_stabilizer")
     }
     assert (8, 2) in pairs
     assert (8, 1) not in pairs
     assert (4, 1) in pairs and (4, 2) in pairs
     for inst in _by_family(9, "point_stabilizer"):
-        assert inst.order == 3 ** inst.param("u") * inst.param("mu")
+        assert inst.order == 3 ** inst.param_dict["u"] * inst.param_dict["mu"]
 
 
 def test_instantiate_bound():
@@ -314,7 +315,7 @@ def test_instantiate_bound():
 
 def test_torus_cyclic_complements_diagonal():
     for q in (5, 9):
-        es = {inst.param("e") for inst in _by_family(q, "torus_cyclic")}
+        es = {inst.param_dict["e"] for inst in _by_family(q, "torus_cyclic")}
         expect = {
             int(e) for e in divisors(q * q - 1) if (q + 1) % int(e) != 0
         }
@@ -338,14 +339,14 @@ def test_instantiate_certifies_the_order(fresh_instantiate, monkeypatch):
     # without its order-3 generator, SL(2,3) shrinks to the quaternion group Q8
     build = catalog._BUILDERS["sl2_three"]
     monkeypatch.setitem(catalog._BUILDERS, "sl2_three", lambda ctx: build(ctx)[:2])
-    inst = [i for i in _by_family(5, "sl2_three") if i.param("w") == 1][0]
+    inst = [i for i in _by_family(5, "sl2_three") if i.param_dict["w"] == 1][0]
     with pytest.raises(RecipeError, match=r"sl2_three\[q=5,w=1\] built order 8"):
         instantiate(inst)
 
 
 def test_instantiate_certifies_the_involution_count(fresh_instantiate, monkeypatch):
     monkeypatch.setitem(catalog._INVOLUTIONS, "sl2_three", 2)
-    inst = [i for i in _by_family(5, "sl2_three") if i.param("w") == 1][0]
+    inst = [i for i in _by_family(5, "sl2_three") if i.param_dict["w"] == 1][0]
     with pytest.raises(RecipeError, match="involution"):
         instantiate(inst)
 

@@ -16,6 +16,7 @@ from gk2genus.engine import (
 )
 from gk2genus.golden import GOLDEN_ROWS
 from gk2genus.mlgroup import Subgroup, ml_context
+from reference import kn_genus
 
 
 def test_spectrum_contains_reference_genera_q5_n3():
@@ -34,7 +35,7 @@ def test_spectrum_contains_reference_genus_q4_n5():
 def test_spectrum_extremes_via_trivial_subgroup():
     rep = spectrum(5, 3)
     top = max(rep.genera)
-    assert top == formulas.kn_genus(5, 3) == 1450
+    assert top == kn_genus(5, 3) == 1450
     wit = rep.witness_for(top)
     assert wit.bar_order == 1 and wit.t == 1
     # t = m collapses the kernel completely: the lift equals the quotient
@@ -48,7 +49,7 @@ def test_spectrum_extremes_via_trivial_subgroup():
 def test_spectrum_genus_bounds():
     for (q, n) in ((4, 5), (5, 3), (5, 5)):
         rep = spectrum(q, n)
-        upper = formulas.kn_genus(q, n)
+        upper = kn_genus(q, n)
         for rec in rep.records:
             assert 0 <= rec.genus <= upper
             assert rec.group_order == rec.bar_order * rec.t
@@ -102,7 +103,7 @@ def test_formula_mode_above_construction_bound():
     assert rep.genera
     for rec in rep.records:
         assert rec.provenance == "formula"
-        assert 0 <= rec.genus <= formulas.kn_genus(49, 3)
+        assert 0 <= rec.genus <= kn_genus(49, 3)
 
 
 def test_check_table_pass_and_fail():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from gk2genus.hermitian import hermitian_points, is_isotropic, normalize_point
+from gk2genus.hermitian import hermitian_points
+from reference import is_isotropic, normalize_point
 
 
 def test_point_counts():

@@ -6,16 +6,21 @@ from collections import Counter
 
 import pytest
 
-from gk2genus.gf import embed_codes, make_field, roots_of_unity
+from gk2genus.gf import make_field, roots_of_unity
 from gk2genus.golden import GOLDEN_ROWS
-from gk2genus.mlgroup import (
-    DetPreimage,
-    Subgroup,
-    closure,
+from gk2genus.mlgroup import DetPreimage, MlContext, Subgroup, closure, ml_context
+from reference import (
+    apply,
+    count_fixed_brute,
+    embed_codes,
     group_from_triple,
     kn_context,
-    ml_context,
+    random_element,
+    random_subgroup,
+    torus_elements,
     triple_of,
+    z_elements,
+    z_intersection_order,
 )
 
 
@@ -23,7 +28,7 @@ def test_group_axioms_random():
     rng = random.Random(5)
     for q in (3, 4, 5):
         ctx = ml_context(q)
-        els = [ctx.random_element(rng) for _ in range(30)]
+        els = [random_element(ctx, rng) for _ in range(30)]
         for g in els:
             assert ctx.is_element(g)
             assert ctx.compose(g, ctx.inverse(g)) == ctx.identity
@@ -43,9 +48,9 @@ def test_element_count_and_det():
         els = list(ctx.iter_elements())
         assert len(els) == (q**3 - q) * (q + 1) == ctx.order
         assert len(set(els)) == len(els)
-        dets = {ctx.det_rho(g) for g in els}
-        assert dets == ctx.mu_set
-        sl = [g for g in els if ctx.det_rho(g) == 1]
+        dets = {g[2] for g in els}
+        assert dets == set(ctx.mu)
+        sl = [g for g in els if g[2] == 1]
         assert len(sl) == q**3 - q
 
 
@@ -53,27 +58,28 @@ def test_standard_subgroups():
     for q in (2, 3, 4, 5, 8, 9):
         ctx = ml_context(q)
         assert len(ctx.s_ell) == q**3 - q
-        assert len(ctx.z_elements) == q + 1
+        assert len(z_elements(ctx)) == q + 1
         assert len(ctx.e_q) == q
-        assert len(ctx.torus) == q * q - 1
+        assert len(torus_elements(ctx)) == q * q - 1
         assert len(ctx.wcoset) == q * q - 1
         assert ctx.order_of(ctx.torus_gen) == q * q - 1
         # Z is central: commutes with everything we try
         rng = random.Random(q)
         for _ in range(20):
-            g = ctx.random_element(rng)
+            g = random_element(ctx, rng)
             assert ctx.compose(g, ctx.z_gen) == ctx.compose(ctx.z_gen, g)
         # Z fixes every chord point
         for pt in ctx.pts.points[: q + 1]:
-            assert ctx.apply(ctx.z_gen, pt) == pt
+            assert apply(ctx, ctx.z_gen, pt) == pt
         # S_ell is closed and normal under a few random conjugations
+        s_ell = set(ctx.s_ell)
         for u in ctx.s_ell_gens:
-            assert u in ctx.s_ell_set
+            assert u in s_ell
         for _ in range(20):
-            g = ctx.random_element(rng)
+            g = random_element(ctx, rng)
             s = rng.choice(ctx.s_ell)
             conj = ctx.compose(ctx.compose(g, s), ctx.inverse(g))
-            assert conj in ctx.s_ell_set
+            assert conj in s_ell
 
 
 def test_standard_subgroups_match_their_definitions():
@@ -82,7 +88,7 @@ def test_standard_subgroups_match_their_definitions():
         R0, R1 = ctx.R0, ctx.R1
         torus, wcoset, e_q, e_r1 = set(), set(), set(), set()
         for g in ctx.iter_elements():
-            r0, r1 = ctx.apply(g, R0), ctx.apply(g, R1)
+            r0, r1 = apply(ctx, g, R0), apply(ctx, g, R1)
             if (r0, r1) == (R0, R1):
                 torus.add(g)
             if (r0, r1) == (R1, R0):
@@ -92,7 +98,7 @@ def test_standard_subgroups_match_their_definitions():
                     e_q.add(g)
                 if r1 == R1:
                     e_r1.add(g)
-        assert set(ctx.torus) == torus
+        assert set(torus_elements(ctx)) == torus
         assert set(ctx.wcoset) == wcoset
         assert set(ctx.e_q) == e_q
         assert set(ctx.e_r1) == e_r1
@@ -102,19 +108,20 @@ def test_s_ell_generators_generate():
     for q in (2, 3, 4, 5, 8, 9):
         ctx = ml_context(q)
         cl = closure(ctx.s_ell_gens, ctx.compose, ctx.identity)
-        assert cl == set(ctx.s_ell_set)
+        assert cl == set(ctx.s_ell)
 
 
 def test_beta_and_z1_odd_q():
     for q in (5, 9, 13):
         ctx = ml_context(q)
-        assert ctx.det_rho(ctx.beta) == ctx.F.neg(1)
+        assert ctx.beta[2] == ctx.F.neg(1)
         assert ctx.compose(ctx.beta, ctx.beta) == ctx.identity
         assert len(ctx.z1_elements) == (q + 1) // 2
         # beta normalizes S_ell
+        s_ell = set(ctx.s_ell)
         for s in ctx.s_ell[:50]:
             conj = ctx.compose(ctx.compose(ctx.beta, s), ctx.beta)
-            assert conj in ctx.s_ell_set
+            assert conj in s_ell
 
 
 def test_classification_total_small_q():
@@ -128,7 +135,7 @@ def test_classification_total_small_q():
             rec = ctx.classify(g)
             seen[rec.tag] += 1
             assert rec.tag in expected_tags
-            assert rec.fix_h == ctx.count_fixed_brute(g)
+            assert rec.fix_h == count_fixed_brute(ctx, g)
         assert sum(seen.values()) == ctx.order - 1
 
 
@@ -162,7 +169,7 @@ def test_type_table_matches_the_chord_block(q):
         elements = ctx.iter_elements()
     else:
         rng = random.Random(q)
-        elements = (ctx.random_element(rng) for _ in range(20000))
+        elements = (random_element(ctx, rng) for _ in range(20000))
     for g in elements:
         if g != ctx.identity:
             assert ctx.classify(g) == ctx._classify_block(g), g
@@ -181,8 +188,8 @@ def test_fixed_points_match_brute_random():
     for q in (5, 8, 9, 13):
         ctx = ml_context(q)
         for _ in range(60):
-            g = ctx.random_element(rng)
-            assert ctx.fixed_points_on_h(g) == ctx.count_fixed_brute(g)
+            g = random_element(ctx, rng)
+            assert ctx.fixed_points_on_h(g) == count_fixed_brute(ctx, g)
 
 
 def test_orbit_counts_known_groups():
@@ -223,8 +230,8 @@ def test_perm_of_matches_apply():
         ctx = ml_context(q)
         index = {pt: i for i, pt in enumerate(ctx.pts.points)}
         for _ in range(5):
-            g = ctx.random_element(rng)
-            expected = [index[ctx.apply(g, pt)] for pt in ctx.pts.points]
+            g = random_element(ctx, rng)
+            expected = [index[apply(ctx, g, pt)] for pt in ctx.pts.points]
             assert ctx.perm_of(g).tolist() == expected
 
 
@@ -242,7 +249,7 @@ def test_orbit_counts_match_bfs_on_random_generators_at_q25():
     ctx = ml_context(25)
     rng = random.Random(41)
     for _ in range(24):
-        gens = [ctx.random_element(rng) for _ in range(rng.randint(1, 3))]
+        gens = [random_element(ctx, rng) for _ in range(rng.randint(1, 3))]
         assert ctx.orbit_counts(gens) == _bfs_orbit_counts(ctx, gens)
 
 
@@ -259,7 +266,7 @@ def test_orbit_counts_burnside_random():
     for q in (3, 4, 5):
         ctx = ml_context(q)
         for _ in range(8):
-            sub = ctx.random_subgroup(rng)
+            sub = random_subgroup(ctx, rng)
             n1, n2 = sub.orbit_counts()
             total = sum(ctx.fixed_points_on_h(g) for g in sub.elements)
             assert total % sub.order == 0
@@ -284,12 +291,52 @@ def test_tame_genus_matches_riemann_hurwitz_brute():
         ctx = ml_context(q)
         gh = q * (q - 1) // 2
         for _ in range(10):
-            sub = ctx.random_subgroup(rng)
+            sub = random_subgroup(ctx, rng)
             if sub.order % ctx.p == 0:
                 continue
-            total = sum(ctx.count_fixed_brute(g) for g in sub.elements if g != ctx.identity)
+            total = sum(count_fixed_brute(ctx, g) for g in sub.elements if g != ctx.identity)
             expect = 1 + (2 * gh - 2 - total) // (2 * sub.order)
             assert ctx.tame_quotient_genus(sub.elements) == expect
+
+
+class _CountingContext(MlContext):
+    """MlContext that counts its compose and inverse calls."""
+
+    calls = Counter()
+
+    def compose(self, g1, g2):
+        self.calls["compose"] += 1
+        return super().compose(g1, g2)
+
+    def inverse(self, g):
+        self.calls["inverse"] += 1
+        return super().inverse(g)
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_power_is_repeated_compose_at_one_product_per_bit(q):
+    ctx = _CountingContext(q)
+    ref = ml_context(q)
+    gens = [ref.torus_gen, ref.e_q[1], ref.compose(ref.torus_gen, ref.e_q[1])]
+    for g in gens:
+        order = ref.order_of(g)
+        acc = ref.identity  # g^e as e-fold compose
+        for e in range(2 * order + 1):
+            ctx.calls.clear()
+            assert ctx.power(g, e) == acc, (g, e)
+            # one squaring per bit above the lowest set bit, one product per
+            # further set bit
+            cost = e.bit_length() + bin(e).count("1") - 2 if e else 0
+            assert ctx.calls == Counter({"compose": cost} if cost else {}), (g, e)
+            if e:
+                ctx.calls.clear()
+                inv = ctx.power(g, -e)
+                assert ctx.calls["inverse"] == 1
+                assert inv == ref.power(ref.inverse(g), e) == ref.inverse(acc)
+            acc = ref.compose(acc, g)
+        ctx.calls.clear()
+        ctx.power(g, 2)
+        assert ctx.calls["compose"] == 1
 
 
 def test_closure_guard():
@@ -371,7 +418,7 @@ def test_subgroup_det_preimage():
     assert sub.n_orbits() == 2
     rng = random.Random(3)
     for _ in range(30):
-        assert ctx.random_element(rng) in sub
+        assert random_element(ctx, rng) in sub
 
 
 def test_det_preimage_requires_s_ell_generators():
@@ -386,10 +433,10 @@ def test_det_image_and_center_intersection():
     ctx = ml_context(5)
     sub = Subgroup.from_closure(ctx, [ctx.z_gen])
     assert sub.det_image_order() == 3  # det of the center generator is a square
-    assert sub.z_intersection_order() == 6
+    assert z_intersection_order(sub) == 6
     ssub = Subgroup.from_closure(ctx, ctx.s_ell_gens)
     assert ssub.det_image_order() == 1
-    assert ssub.z_intersection_order() == 2  # -1 is the only central element in S_ell
+    assert z_intersection_order(ssub) == 2  # -1 is the only central element in S_ell
 
 
 def test_kn_group_order_and_pi():

@@ -1,0 +1,61 @@
+"""The package holds product code only: every definition in it has a caller.
+
+A function, class or method defined in src/gk2genus must be referenced by
+name somewhere else in src/gk2genus, or in perfbench/*.py, whose layer
+trace also names attributes in strings.  Test-only references belong in
+tests/reference.py.  Dunder methods and cli.main, the console entry point,
+are exempt.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "gk2genus").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+EXEMPT = {("cli.py", "main")}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (sub for sub in node.body if isinstance(sub, DEFS))
+
+
+def _names(nodes, strings):
+    """Names used by the given nodes; identifiers in string constants when strings."""
+    out = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def unreferenced():
+    trees = {path: ast.parse(path.read_text()) for path in SRC + BENCH}
+    uses = {path: _names(ast.walk(tree), strings=path in BENCH) for path, tree in trees.items()}
+    for path in SRC:
+        for node in _definitions(trees[path]):
+            name = node.name
+            if re.fullmatch(r"__\w+__", name) or (path.name, name) in EXEMPT:
+                continue
+            # uses inside the definition itself do not count
+            total = sum(use[name] for use in uses.values())
+            if total == _names(ast.walk(node), strings=False)[name]:
+                yield "%s:%d %s" % (path.name, node.lineno, name)
+
+
+def test_every_src_definition_has_a_product_caller():
+    assert list(unreferenced()) == []
