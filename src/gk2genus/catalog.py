@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from sympy import divisors
-from sympy.ntheory.residue_ntheory import n_order
-
 from . import formulas
+from .formulas import divisors
 from .mlgroup import DetPreimage, Subgroup, closure, mat_det, mat_mul, ml_context
 
 # Explicit subgroups (and with them the brute-force oracle) stay feasible
@@ -454,13 +452,13 @@ def _point_stab_realizable(q, mu, u):
     if not 1 <= u <= h:
         return False
     omega_order = mu // math.gcd(mu, q + 1)
-    f = 1 if omega_order == 1 else n_order(p, omega_order)
+    f = formulas.multiplicative_order(p, omega_order)
     return u % f == 0
 
 
 def _even_instances(q, add):
     p, h = formulas.prime_power(q)
-    ws = [int(w) for w in divisors(q + 1)]
+    ws = divisors(q + 1)
 
     for w in ws:
         for f in range(1, h + 1):
@@ -469,11 +467,11 @@ def _even_instances(q, add):
         add(FamilyInstance(q, "sl2_two", (("w", w),), 6 * w, False, w))
         for f in divisors(h):
             if f > 1:
-                add(FamilyInstance(q, "sl2_subfield", (("k", int(f)), ("w", w)),
+                add(FamilyInstance(q, "sl2_subfield", (("k", f), ("w", w)),
                                    (2 ** (3 * f) - 2**f) * w, False, w))
         for t in divisors(q - 1):
             if t > 1:
-                add(FamilyInstance(q, "dihedral", (("t", int(t)), ("w", w)),
+                add(FamilyInstance(q, "dihedral", (("t", t), ("w", w)),
                                    2 * t * w, False, w))
         if h % 2 == 0:
             add(FamilyInstance(q, "alt5", (("w", w),), 60 * w, False, w))
@@ -482,7 +480,7 @@ def _even_instances(q, add):
             for d in divisors(math.gcd(2**f - 1, q - 1)):
                 if d > 1:
                     add(FamilyInstance(q, "elation_semidirect",
-                                       (("f", f), ("d", int(d)), ("w", w)),
+                                       (("f", f), ("d", d), ("w", w)),
                                        2**f * d * w, False, w))
         for t in ws:
             add(FamilyInstance(q, "triangle", (("t", t), ("w", w)),
@@ -491,13 +489,12 @@ def _even_instances(q, add):
 
 def _odd_instances(q, add):
     p, h = formulas.prime_power(q)
-    ws = [int(w) for w in divisors((q + 1) // 2)]
+    ws = divisors((q + 1) // 2)
 
     for w in ws:
         if (q * q - 1) % 5 == 0:
             add(FamilyInstance(q, "sl2_five", (("w", w),), 120 * w, p >= 7, w))
         for k in divisors(h):
-            k = int(k)
             order = p**k * (p ** (2 * k) - 1) * w
             add(FamilyInstance(q, "sl2_subfield", (("k", k), ("w", w)),
                                order, False, w))
@@ -515,23 +512,19 @@ def _odd_instances(q, add):
             else:
                 add(FamilyInstance(q, "gl2_three", (("w", w),), 48 * w, True, 2 * w))
         for d in divisors((q - 1) // 2):
-            d = int(d)
             if d > 1:
                 add(FamilyInstance(q, "dicyclic", (("d", d), ("w", w)),
                                    4 * d * w, True, w))
         for d in divisors(q - 1):
-            d = int(d)
             if d > 2:
                 add(FamilyInstance(q, "dihedral", (("d", d), ("w", w)),
                                    2 * d * w, True, 2 * w))
         for d in divisors((q - 1) // 2):
-            d = int(d)
             if ((q - 1) // (2 * d)) % 2 == 1:
                 add(FamilyInstance(q, "hat_dicyclic", (("d", d), ("w", w)),
                                    8 * d * w, True, 2 * w))
 
     for mu in divisors(q * q - 1):
-        mu = int(mu)
         for u in range(1, h + 1):
             if _point_stab_realizable(q, mu, u):
                 add(FamilyInstance(q, "point_stabilizer", (("mu", mu), ("u", u)),
@@ -561,7 +554,6 @@ def _tame_tail(q, add):
     """The pointwise triangle stabilizers and torus cyclics: tame at every q."""
     n = q + 1
     for e in divisors(q * q - 1):
-        e = int(e)
         if n % e:
             add(FamilyInstance(q, "torus_cyclic", (("e", e),), e, True,
                                _torus_det_rule(q, e)))

@@ -11,28 +11,267 @@ Two kinds of closed-form data live here:
 All arithmetic is exact rational arithmetic.  Every function validates its
 parameter constraints and raises ValueError when a combination is
 inconsistent, or when an expression that has to be an integer is not one.
+
+The small-integer number theory under both (primality, prime powers,
+factoring, divisors, multiplicative orders) is plain-Python integer code
+here too; gf, hermitian and catalog import it from this module.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
-from sympy import factorint, isprime
-
-# Trial-division bound handed to sympy.factorint when factoring m; factorint
-# also scales its rho and p-1 effort to it, so the budget is a fixed amount
-# of work, not a time.
+# Trial divisors, and the first 13 of them as Miller-Rabin bases.
+_SMALL_PRIMES = tuple(n for n in range(2, 1000) if all(n % d for d in range(2, isqrt(n) + 1)))
+_MR_BASES = _SMALL_PRIMES[:13]
+# Miller-Rabin on the bases 2..41 is exact below this bound (Sorenson and
+# Webster 2015); from it on is_prime runs strong BPSW (Baillie-Wagstaff 1980).
+_MR_BOUND = 3317044064679887385961981
+# Pollard-Brent iterations spent on one composite cofactor of m, and the
+# number of steps whose differences share one gcd.
+RHO_EFFORT = 2**16
+_RHO_BATCH = 64
+# Trial-division bound of the sympy.factorint(m, limit=FACTOR_LIMIT)
+# fallback, made only when RHO_EFFORT leaves a cofactor of m composite;
+# factorint scales its rho and p-1 effort to the limit too, so the budget is
+# a fixed amount of work, not a time.  A cofactor above the limit that it
+# leaves composite rejects (q, n).
 FACTOR_LIMIT = 2**20
+
+
+# ---------------------------------------------------------------------------
+# Small-integer number theory: primality, factoring, divisors, orders.
+# ---------------------------------------------------------------------------
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by Newton's method from above."""
+    if k == 1 or n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _strong_probable_prime(n, a):
+    """Whether the odd n > 2 passes the Miller-Rabin test to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Whether the odd n > 2 passes the strong Lucas test with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4; n + 1 = d 2^s with d odd, and n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # U_k, V_k, Q^k for k = 1, then k -> 2k and k -> k + 1 along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n):
+    """Whether the integer n is prime.
+
+    Trial division, then Miller-Rabin to the bases 2..41, which is exact
+    below _MR_BOUND; past it, strong BPSW, as in sympy.isprime.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 1000**2:
+        return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n, effort):
+    """A proper factor of the odd composite n, or None once effort steps are spent.
+
+    Brent's cycle search on x -> x^2 + c (mod n) for c = 1, 2, ..., with the
+    gcd taken once per _RHO_BATCH steps; effort None never gives up.
+    """
+    spent = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            if effort is not None and spent >= effort:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                k += _RHO_BATCH
+            spent += r + k
+            r *= 2
+        if g == n:
+            # the batch met a multiple of n: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _perfect_power(n):
+    """(r, k) with n = r^k and k prime, or None, for n free of primes below 1000."""
+    for k in _SMALL_PRIMES:
+        if 1000**k >= n:
+            break
+        r = _iroot(n, k)
+        if r**k == n:
+            return r, k
+    return None
+
+
+def _factor(n, effort=None):
+    """(factors, left): the primes {p: e} found in n >= 1, and the composite rest.
+
+    Trial division by the primes below 1000, then a perfect-power check and
+    Pollard-Brent with effort steps on each cofactor; left is the product of
+    the cofactors that stay composite, 1 when effort is None.
+    """
+    factors = {}
+
+    def add(p, e):
+        factors[p] = factors.get(p, 0) + e
+
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            add(p, e)
+    left = 1
+    stack = [(n, 1)] if n > 1 else []
+    while stack:
+        c, e = stack.pop()
+        if is_prime(c):
+            add(c, e)
+            continue
+        power = _perfect_power(c)
+        if power is not None:
+            stack.append((power[0], e * power[1]))
+            continue
+        d = _pollard_brent(c, effort)
+        if d is None:
+            left *= c**e
+        else:
+            stack += [(d, e), (c // d, e)]
+    return dict(sorted(factors.items())), left
+
+
+def prime_factors(n):
+    """The prime factorization of n >= 1 as {p: e}, primes increasing."""
+    return _factor(n)[0]
+
+
+def _divisors_of_factorization(factors):
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def divisors(n):
+    """The divisors of n >= 1 in increasing order."""
+    return _divisors_of_factorization(prime_factors(n))
+
+
+def multiplicative_order(a, n):
+    """The least e >= 1 with a^e = 1 (mod n), for a prime to n >= 1."""
+    if gcd(a, n) != 1:
+        raise ValueError("%r is not a unit modulo %r" % (a, n))
+    order = 1
+    for p, e in prime_factors(n).items():
+        order *= (p - 1) * p ** (e - 1)
+    for p in prime_factors(order):
+        while order % p == 0 and pow(a, order // p, n) == 1:
+            order //= p
+    return order
 
 
 @lru_cache(maxsize=None)
 def prime_power(q):
-    """Split a prime power q = p^h into (p, h)."""
-    fact = factorint(q)
-    if q < 2 or len(fact) != 1:
-        raise ValueError("q must be a prime power, got %r" % (q,))
-    ((p, h),) = fact.items()
-    return p, h
+    """Split a prime power q = p^h into (p, h).
+
+    q is a prime power exactly when, for some h <= log2(q), its integer
+    h-th root is prime and its h-th power is q, so q itself is never
+    factored.
+    """
+    for h in range(1, max(q, 1).bit_length()):
+        p = _iroot(q, h)
+        if p**h == q and is_prime(p):
+            return p, h
+    raise ValueError("q must be a prime power, got %r" % (q,))
 
 
 def _as_count(x, what):
@@ -146,22 +385,25 @@ def candidate_cm_orders(q, n, s):
 def divisors_of_m(q, n):
     """The divisors of m = (q^n + 1)/(q + 1) in increasing order.
 
-    m is factored once per (q, n) within FACTOR_LIMIT; a cofactor that the
-    budget leaves composite raises ValueError instead of factoring on.
+    m is factored once per (q, n): Pollard-Brent with RHO_EFFORT steps per
+    cofactor, then, only if that leaves a cofactor composite, sympy.factorint
+    within FACTOR_LIMIT.  A cofactor that this budget leaves composite
+    raises ValueError instead of factoring on.
     """
     m = m_of(q, n)
-    fact = factorint(m, limit=FACTOR_LIMIT)
-    for f in fact:
-        if f > FACTOR_LIMIT and not isprime(f):
-            raise ValueError(
-                "cannot factor m = (q^n+1)/(q+1) for q=%d, n=%d: a %d-bit "
-                "cofactor is left composite by the factoring budget"
-                % (q, n, f.bit_length())
-            )
-    divs = [1]
-    for f, e in fact.items():
-        divs = [d * f**k for d in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
+    fact, left = _factor(m, RHO_EFFORT)
+    if left > 1:
+        from sympy import factorint  # the only sympy import of the package
+
+        fact = factorint(m, limit=FACTOR_LIMIT)
+        for f in fact:
+            if f > FACTOR_LIMIT and not is_prime(f):
+                raise ValueError(
+                    "cannot factor m = (q^n+1)/(q+1) for q=%d, n=%d: a %d-bit "
+                    "cofactor is left composite by the factoring budget"
+                    % (q, n, f.bit_length())
+                )
+    return tuple(_divisors_of_factorization(fact))
 
 
 # ---------------------------------------------------------------------------

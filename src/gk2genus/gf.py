@@ -18,10 +18,8 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from sympy import factorint, isprime
-from sympy import GF as _sympy_GF
-from sympy import Poly as _sympy_Poly
-from sympy.abc import x as _sympy_x
+
+from .formulas import is_prime, prime_factors
 
 _CARD_LIMIT = 2**15
 _NP_TABLE_LIMIT = 1024
@@ -42,25 +40,35 @@ def _code_of(coeffs, p):
     return code
 
 
+def _poly_rem(poly, modulus, p):
+    # little-endian coefficient list poly reduced mod modulus (monic), in place
+    k = len(modulus) - 1
+    for i in range(len(poly) - 1, k - 1, -1):
+        c = poly[i]
+        if c:
+            for j in range(k):
+                poly[i - k + j] = (poly[i - k + j] - c * modulus[j]) % p
+    return poly[:k] + [0] * (k - len(poly))
+
+
 def _poly_mul_mod(a, b, modulus, p):
     # little-endian coefficient lists, reduced mod modulus (monic)
-    k = len(modulus) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k + 1):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    return prod[:k] + [0] * (k - len(prod))
+    return _poly_rem(prod, modulus, p)
 
 
 def _is_irreducible(coeffs, p):
-    return _sympy_Poly(list(reversed(coeffs)), _sympy_x, domain=_sympy_GF(p)).is_irreducible
+    """Whether the monic coeffs has no monic factor of degree <= half its own."""
+    k = len(coeffs) - 1
+    for d in range(1, k // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not any(_poly_rem(list(coeffs), tail + (1,), p)):
+                return False
+    return True
 
 
 class FieldCtx:
@@ -96,7 +104,7 @@ class FieldCtx:
 
     def _find_primitive(self):
         n = self.card - 1
-        primes = factorint(n)
+        primes = prime_factors(n)
         for code in self._iter_codes_lex():
             if code == 0:
                 continue
@@ -242,7 +250,7 @@ _MAKE_TOKEN = object()
 @lru_cache(maxsize=None)
 def make_field(p, k):
     """Singleton GF(p^k) context with the canonical modulus and generator."""
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
     if k < 1:
         raise ValueError("k must be >= 1")

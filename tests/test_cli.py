@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import gk2genus
 from gk2genus import engine, formulas
 from gk2genus.catalog import enumerate_instances
 from gk2genus.cli import main
@@ -102,9 +107,47 @@ def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys, monk
 
     monkeypatch.setattr("gk2genus.engine.instantiate", no_instances)
     assert main(["spectrum", "--q", "4", "--n", "151"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "q=4, n=151" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "error: cannot factor m = (q^n+1)/(q+1) for q=4, n=151: a 300-bit "
+        "cofactor is left composite by the factoring budget\n"
+    )
+
+
+def test_spectrum_rejects_a_semiprime_q_without_factoring_it(capsys):
+    # q = nextprime(2^80) * nextprime(2^81): a 161-bit semiprime that no
+    # factoring budget splits quickly, so the prime-power test must not factor
+    q = 2923003274661805836407421649242809468366377451741
+    start = time.perf_counter()
+    assert main(["spectrum", "--q", str(q), "--n", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: q must be a prime power, got %d\n" % q
+
+
+def test_a_large_prime_q_exceeds_the_supported_bound(capsys):
+    q = 2**127 - 1
+    for argv in (["catalog", "--q", str(q)], ["spectrum", "--q", str(q), "--n", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: q=%d exceeds the supported bound 1048576\n" % q
+        )
+
+
+def test_the_cli_runs_without_importing_sympy():
+    # the benchmark's three commands in a fresh interpreter; sympy is only
+    # needed for an m that the stdlib factoring pass cannot finish
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import gk2genus.cli as cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['spectrum', '--q', '1048576', '--n', '7', '--format', 'csv']) == 0",
+        "    assert cli.main(['classify', '--q', '9']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gk2genus.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_verify_exit_codes(capsys):

@@ -1,8 +1,12 @@
 """Tests for the closed-form genus and orbit-count formulas."""
 
-from math import gcd
+import random
+from math import gcd, isqrt
 
 import pytest
+from sympy import divisors as sympy_divisors
+from sympy import isprime, n_order
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from gk2genus import formulas as fm
 from reference import (
@@ -92,9 +96,75 @@ def test_admissible_cm_orders():
         assert fm.admissible_cm_orders(4, 7, s) == divisors(fm.m_of(4, 7))
 
 
-def test_divisors_of_m_match_sympy_on_the_pinned_rows():
-    from sympy import divisors as sympy_divisors
+def test_is_prime_matches_sympy_below_2e5():
+    for n in range(2 * 10**5):
+        assert fm.is_prime(n) == isprime(n), n
 
+
+@pytest.mark.parametrize("bits", [60, 90, 100, 140, 200])
+def test_is_prime_matches_sympy_on_random_odd_integers(bits):
+    rng = random.Random(bits)
+    for _ in range(300):
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert fm.is_prime(n) == isprime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_the_first_prime_bases():
+    # each fools Miller-Rabin on the first 4, 9, 12 and 13 prime bases; the
+    # last is the bound from which BPSW takes over
+    for n, bases in ((3215031751, 4), (3825123056546413051, 9),
+                     (318665857834031151167461, 12), (3317044064679887385961981, 13)):
+        assert all(fm._strong_probable_prime(n, a) for a in fm._MR_BASES[:bases])
+        assert not fm.is_prime(n) and not isprime(n)
+    assert fm._MR_BOUND == 3317044064679887385961981
+
+
+def test_is_prime_accepts_the_97_bit_factor_of_m_at_2p20_n7():
+    f = 84179842077657862011867889681
+    assert f.bit_length() == 97 and fm.m_of(2**20, 7) % f == 0
+    assert fm.is_prime(f) and isprime(f)
+
+
+def test_strong_lucas_test_matches_sympy():
+    # the small strong Lucas pseudoprimes 5459, 5777, 10877, ... are in range
+    for n in range(5, 10**5, 2):
+        if isqrt(n) ** 2 != n:
+            assert fm._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+def test_divisors_and_orders_match_sympy():
+    for n in range(1, 5001):
+        assert fm.divisors(n) == sympy_divisors(n), n
+    rng = random.Random(40)
+    for _ in range(200):
+        n = rng.getrandbits(40) | 1 << 39
+        assert fm.divisors(n) == sympy_divisors(n), n
+    for n in range(2, 400):
+        for a in range(1, 60):
+            if gcd(a, n) == 1:
+                assert fm.multiplicative_order(a, n) == n_order(a, n), (a, n)
+    with pytest.raises(ValueError):
+        fm.multiplicative_order(6, 9)
+
+
+def test_prime_power_takes_integer_roots():
+    assert fm.prime_power(2**20) == (2, 20)
+    assert fm.prime_power(3**12) == (3, 12)
+    assert fm.prime_power(2**127 - 1) == (2**127 - 1, 1)
+    assert fm.prime_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    for q in (-4, 0, 1, 6, 12, 36, (2**61 - 1) * (2**31 - 1)):
+        with pytest.raises(ValueError, match="q must be a prime power"):
+            fm.prime_power(q)
+
+
+def test_divisors_of_m_falls_back_when_rho_leaves_a_composite_cofactor():
+    # m(13, 29) has 43- and 44-bit prime factors that RHO_EFFORT does not split
+    m = fm.m_of(13, 29)
+    assert fm._factor(m, fm.RHO_EFFORT)[1] > 1
+    assert list(fm.divisors_of_m(13, 29)) == sympy_divisors(m)
+
+
+def test_divisors_of_m_match_sympy_on_the_pinned_rows():
     rows = [(4, 5), (4, 7), (5, 3), (5, 5), (5, 7), (9, 7), (13, 5), (25, 3)]
     rows += [(2**20, n) for n in (3, 5, 7)]
     for q, n in rows:

@@ -4,9 +4,8 @@ import itertools
 import random
 
 import pytest
-from sympy import GF as sympy_GF
-from sympy import Poly, totient
-from sympy.abc import x
+from sympy import ZZ, factorint, isprime, totient
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 import gk2genus
 from gk2genus.gf import _code_of, _coeffs_of, make_field, roots_of_unity
@@ -21,27 +20,38 @@ def test_gf4_canonical():
     assert F4.mul(u, F4.add(u, 1)) == 1
 
 
+# every field with at most 1024 elements, and two at the 2^15 cap
+FIELD_SIZES = [(p, k) for p in range(2, 1025) if isprime(p)
+               for k in range(1, 11) if p**k <= 1024] + [(2, 15), (181, 2)]
+
+
 def test_modulus_is_lex_smallest_irreducible():
-    for p, k in [(2, 3), (2, 6), (3, 2), (5, 2), (7, 2), (13, 2), (5, 3)]:
+    for p, k in FIELD_SIZES:
         F = make_field(p, k)
-        mod_poly = Poly(list(reversed(F.modulus)), x, domain=sympy_GF(p))
-        assert mod_poly.is_irreducible
+        assert gf_irreducible_p(list(reversed(F.modulus)), p, ZZ), (p, k)
         # every lex-smaller monic candidate must be reducible
         for tail in itertools.product(range(p), repeat=k):
             if tail + (1,) == F.modulus:
                 break
-            assert not Poly(list(reversed(tail + (1,))), x, domain=sympy_GF(p)).is_irreducible
+            assert not gf_irreducible_p(list(reversed(tail + (1,))), p, ZZ), (p, k, tail)
 
 
 def test_primitive_is_lex_smallest_of_max_order():
-    for p, k in [(2, 2), (2, 4), (3, 2), (5, 2)]:
+    # orders by sympy's polynomial powers modulo the modulus, not by the tables
+    for p, k in FIELD_SIZES:
         F = make_field(p, k)
         n = F.card - 1
-        assert F.order_of(F.gen_code) == n
+        modulus = list(reversed(F.modulus))
+
+        def is_primitive(code):
+            g = list(reversed(_coeffs_of(code, p, k)))
+            return all(gf_pow_mod(g, n // r, modulus, p, ZZ) != [1] for r in factorint(n))
+
+        assert is_primitive(F.gen_code), (p, k)
         for code in F._iter_codes_lex():
             if code == F.gen_code:
                 break
-            assert code == 0 or F.order_of(code) < n
+            assert code == 0 or not is_primitive(code), (p, k, code)
 
 
 def test_field_axioms_random():
