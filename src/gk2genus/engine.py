@@ -202,8 +202,8 @@ def spectrum(q, n):
     The returned report is cached and shared; treat it as read-only.
     """
     m = formulas.m_of(q, n)
+    instances = _instances(q)  # checks the q bound before m is factored
     formulas.divisors_of_m(q, n)  # reject an m the budget cannot factor before any instance
-    instances = _instances(q)
     oracle_mode = q <= SMALL_Q_LIMIT
     mode = "oracle" if oracle_mode else "formula"
     complete = oracle_mode and gcd(q + 1, n) == 1

@@ -14,12 +14,13 @@ elation groups at the chord points R0 and R1, the two-point-stabilizer torus
 generator and its swap coset), the element type table, orbit counting on curve
 points, and the tame quotient genus; the tables, the frame, the inventory and
 the type table are complete at construction.  An element's type is its
-fixed-point geometry, read once per (trace, det, scalar) class from the
-eigenvectors of the chord block [[a, t*c^q], [c, t*a^q]] and looked up after
-that.  The chord frame
-is a basis change P taking the basis to R0 and R1 and the Hermitian form to
-J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
-into the chord element it stands for, and the inventory is built that way.
+fixed-point geometry, a function of the eigenvalues of the chord block
+B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
+(trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
+looked up after that.  The chord frame is a basis change P taking the
+basis to R0 and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]];
+frame_element conjugates a matrix preserving J into the chord element it
+stands for, and the inventory is built that way.
 """
 
 from __future__ import annotations
@@ -139,7 +140,6 @@ class MlContext:
         self.MUL = F.np_mul_table()
         self.ADD = F.np_add_table()
         self.INV = F.np_pow_vec(-1)
-        self.SQ = F.np_pow_vec(2)
         self.X, self.Y, self.Z = self.pts.np_coords()
         self._build_type_table()
         self._ensure_structure()
@@ -266,7 +266,13 @@ class MlContext:
 
         A non-scalar chord block B = [[a, t c^q], [c, t a^q]] is cyclic, so (tr B, det B = t)
         fixes its GL(2, q^2) class, which meets GU(2, q) in one class (G. E. Wall, 1963);
-        GU(2, q)-conjugates, by diag(X, 1), have one type.
+        GU(2, q)-conjugates, by diag(X, 1), have one type.  The type is read from the
+        eigenvalues lam, mu of B: g fixes P = (0:0:1), of eigenvalue 1, and the eigenvectors
+        v, w of B, with H(v, w) = lam mu^q H(v, w) for the Hermitian form H.  So B scalar, or
+        roots 1 and t != 1, is a homology (A); a double root has one eigenvector, isotropic
+        since its polar is not another, and is an elation (C) if lam = 1, else E; other
+        roots in mu_(q+1) have orthogonal, so anisotropic, eigenvectors (B1); roots swapped
+        by lam -> lam^(-q) have isotropic ones, two fixed curve points (B2).
         """
         if g == self.identity:
             raise ValueError("identity has no type")
@@ -276,80 +282,34 @@ class MlContext:
         return self._types[F.add(a, v), t, c == 0 and a == v]
 
     def _build_type_table(self):
-        """Classify the first element of each (tr, det, scalar) key; run once, by __init__.
+        """The type of every (tr B, det B, B scalar) key of M_ell; run once, by __init__.
 
-        The keys come from numpy gathers over S_ell, one det = t at a time.
-        Keys with different t differ, so np.unique's first index per key in
-        the column of t is the first element of that key in iter_elements
-        order.  Only the identity has the identity's key, and it is skipped.
+        B is unitary with det B = t, so its eigenvalues are a pair {lam, t/lam}
+        in GF(q^2) with lam + t/lam = tr B, either inside mu_(q+1) or swapped
+        by lam -> lam^(-q), that is lam^(1-q) = t.  One np.unique per t lists
+        the traces of those pairs, a root of each and whether it is double.
         """
-        s = np.array(self.s_ell, dtype=np.int32)
-        a, diagonal = s[:, 0], s[:, 1] == 0  # B is diagonal exactly when c = 0
-        aq = np.array(self.frobq, dtype=np.int32)[a]
+        q, F = self.q, self.F
+        A, B1, B2, C, E = (ElementType(tag, fix) for tag, fix in
+                           (("A", q + 1), ("B1", 0), ("B2", 2), ("C", 1), ("E", 1)))
+        on_mu = F.np_pow_vec(q + 1) == 1  # by code; 0 is in neither root set
+        swapped = F.np_pow_vec(1 - q)
         self._types = {}
         for t in self.mu:
-            v = self.MUL[t, aq]
-            # key 2 tr B + [B scalar] within the column of t
-            keys, rows = np.unique(self.ADD[a, v] * 2 + (diagonal & (a == v)), return_index=True)
-            for k, row in zip(keys.tolist(), rows.tolist()):
-                g = (self.s_ell[row][0], self.s_ell[row][1], t)
-                if g != self.identity:
-                    self._types[k >> 1, t, bool(k & 1)] = self._classify_block(g)
-
-    def _classify_block(self, g):
-        """Fixed-point geometry tag of a nonidentity element, read from its chord block.
-
-        g acts as diag(B, 1) with B = [[a, u], [c, v]], u = t c^q, v = t a^q.
-        Its fixed chord points are the eigenvectors of B, and the line through
-        one of them and P = (0:0:1) is fixed pointwise exactly when that
-        eigenvector's eigenvalue is 1, the eigenvalue of P.
-        """
-        a, c, t = g
-        F, q, frobq = self.F, self.q, self.frobq
-        v = F.mul(t, frobq[a])
-        if c == 0:
-            if a == v:
-                # scalar on the chord: homology with center P, axis the chord line
-                return ElementType("A", q + 1)
-            # (eigenvector (x, y) of B, its eigenvalue)
-            fixed = [((0, 1), v), ((1, 0), a)]
-        else:
-            # fixed chord points (x:1:0) solve -c x^2 + (a - v) x + u = 0
-            u = F.mul(t, frobq[c])
-            vals = self.ADD[
-                self.MUL[F.neg(c), self.SQ],
-                self.ADD[self.MUL[F.sub(a, v), np.arange(self.card)], u],
-            ]
-            # the eigenvalue of (x:1:0) is the second entry c x + v of B (x, 1)
-            fixed = [((x, 1), F.add(F.mul(c, x), v)) for x in np.flatnonzero(vals == 0).tolist()]
-
-        def form(p1, p2):
-            # the Hermitian form x1 x2^q - y1 y2^q on chord points
-            return F.sub(F.mul(p1[0], frobq[p2[0]]), F.mul(p1[1], frobq[p2[1]]))
-
-        if len(fixed) == 2:
-            for (pa, lam), (pb, _) in (fixed, fixed[::-1]):
-                if lam == 1:
-                    # pointwise-fixed line through pa and P: homology with center pb.
-                    # P lies on the polar of every chord point, so that line is the
-                    # polar of pb exactly when pa is orthogonal to pb
-                    if form(pb, pb) == 0:
-                        raise AssertionError("homology with isotropic center")
-                    if form(pa, pb) != 0:
-                        raise AssertionError("homology axis is not the polar of its center")
-                    return ElementType("A", q + 1)
-            iso1, iso2 = (form(pt, pt) == 0 for pt, _ in fixed)
-            if iso1 and iso2:
-                return ElementType("B2", 2)
-            if not iso1 and not iso2:
-                return ElementType("B1", 0)
-            raise AssertionError("mixed isotropy in a fixed frame")
-        if len(fixed) == 1:
-            ((pt, lam),) = fixed
-            if form(pt, pt) != 0:
-                raise AssertionError("single fixed chord point off the curve")
-            return ElementType("C" if lam == 1 else "E", 1)
-        raise AssertionError("element fixing no chord point")
+            roots = np.flatnonzero(on_mu | (swapped == t))
+            traces, first, counts = np.unique(
+                self.ADD[roots, self.MUL[t, self.INV[roots]]], return_index=True, return_counts=True
+            )
+            for tr, lam, n in zip(traces.tolist(), roots[first].tolist(), counts.tolist()):
+                if n == 1:  # lam^2 = t and B is not scalar: one fixed chord point
+                    kind = C if lam == 1 else E
+                elif tr == F.add(1, t):  # eigenvalues 1 and t: a homology
+                    kind = A
+                else:
+                    kind = B1 if on_mu[lam] else B2
+                self._types[tr, t, False] = kind
+        for a in self.mu[1:]:  # B = a I, a != 1: a homology with center P
+            self._types[F.add(a, a), F.mul(a, a), True] = A
 
     def fixed_points_on_h(self, g):
         """Exact count of fixed rational curve points, via the fixed geometry."""

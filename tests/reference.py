@@ -8,7 +8,8 @@ the code it checks and the package holds only what the pipeline runs:
 * the genus of K_n itself, the subfield genus bound and the rejected
   orbit-count variants recorded in formulas.ERRATA;
 * M_ell elements acting on points one at a time, literal fixed-point
-  counts, random elements and subgroups, and the center Z and the torus;
+  counts, element types read from the eigenvectors of the chord block,
+  random elements and subgroups, and the center Z and the torus;
 * the tower group Aut(K_n) with elements (a, c, k), where k is the exponent
   of xi = zeta^k in mu_(q^n+1) over a fixed generator zeta with zeta^m = eps
   and m = (q^n+1)/(q+1).  It projects onto M_ell by xi -> xi^m = eps^k, with
@@ -35,7 +36,7 @@ from gk2genus.formulas import (
     unitary_pm_quotient,
 )
 from gk2genus.gf import _coeffs_of
-from gk2genus.mlgroup import Subgroup, ml_context
+from gk2genus.mlgroup import ElementType, Subgroup, ml_context
 
 # -- points and fields -----------------------------------------------------------
 
@@ -177,6 +178,85 @@ def count_fixed_brute(ctx, g):
         return len(ctx.pts)
     Xi, Yi, Zi = ctx._image_coords(g)
     return int(np.count_nonzero((Xi == ctx.X) & (Yi == ctx.Y)))
+
+
+def classify_block(ctx, g):
+    """Fixed-point geometry tag of a nonidentity element, read from its chord block.
+
+    g acts as diag(B, 1) with B = [[a, u], [c, v]], u = t c^q, v = t a^q.
+    Its fixed chord points are the eigenvectors of B, and the line through
+    one of them and P = (0:0:1) is fixed pointwise exactly when that
+    eigenvector's eigenvalue is 1, the eigenvalue of P.
+    """
+    a, c, t = g
+    F, q, frobq = ctx.F, ctx.q, ctx.frobq
+    v = F.mul(t, frobq[a])
+    if c == 0:
+        if a == v:
+            # scalar on the chord: homology with center P, axis the chord line
+            return ElementType("A", q + 1)
+        # (eigenvector (x, y) of B, its eigenvalue)
+        fixed = [((0, 1), v), ((1, 0), a)]
+    else:
+        # fixed chord points (x:1:0) solve -c x^2 + (a - v) x + u = 0
+        u = F.mul(t, frobq[c])
+        vals = ctx.ADD[
+            ctx.MUL[F.neg(c), F.np_pow_vec(2)],
+            ctx.ADD[ctx.MUL[F.sub(a, v), np.arange(ctx.card)], u],
+        ]
+        # the eigenvalue of (x:1:0) is the second entry c x + v of B (x, 1)
+        fixed = [((x, 1), F.add(F.mul(c, x), v)) for x in np.flatnonzero(vals == 0).tolist()]
+
+    def form(p1, p2):
+        # the Hermitian form x1 x2^q - y1 y2^q on chord points
+        return F.sub(F.mul(p1[0], frobq[p2[0]]), F.mul(p1[1], frobq[p2[1]]))
+
+    if len(fixed) == 2:
+        for (pa, lam), (pb, _) in (fixed, fixed[::-1]):
+            if lam == 1:
+                # pointwise-fixed line through pa and P: homology with center pb.
+                # P lies on the polar of every chord point, so that line is the
+                # polar of pb exactly when pa is orthogonal to pb
+                if form(pb, pb) == 0:
+                    raise AssertionError("homology with isotropic center")
+                if form(pa, pb) != 0:
+                    raise AssertionError("homology axis is not the polar of its center")
+                return ElementType("A", q + 1)
+        iso1, iso2 = (form(pt, pt) == 0 for pt, _ in fixed)
+        if iso1 and iso2:
+            return ElementType("B2", 2)
+        if not iso1 and not iso2:
+            return ElementType("B1", 0)
+        raise AssertionError("mixed isotropy in a fixed frame")
+    if len(fixed) == 1:
+        ((pt, lam),) = fixed
+        if form(pt, pt) != 0:
+            raise AssertionError("single fixed chord point off the curve")
+        return ElementType("C" if lam == 1 else "E", 1)
+    raise AssertionError("element fixing no chord point")
+
+
+def type_table_by_eigenvectors(ctx):
+    """The (tr, det, scalar) -> type table, classifying the first element of each key.
+
+    The keys come from numpy gathers over S_ell, one det = t at a time.
+    Keys with different t differ, so np.unique's first index per key in
+    the column of t is the first element of that key in iter_elements
+    order.  Only the identity has the identity's key, and it is skipped.
+    """
+    s = np.array(ctx.s_ell, dtype=np.int32)
+    a, diagonal = s[:, 0], s[:, 1] == 0  # B is diagonal exactly when c = 0
+    aq = np.array(ctx.frobq, dtype=np.int32)[a]
+    types = {}
+    for t in ctx.mu:
+        v = ctx.MUL[t, aq]
+        # key 2 tr B + [B scalar] within the column of t
+        keys, rows = np.unique(ctx.ADD[a, v] * 2 + (diagonal & (a == v)), return_index=True)
+        for k, row in zip(keys.tolist(), rows.tolist()):
+            g = (ctx.s_ell[row][0], ctx.s_ell[row][1], t)
+            if g != ctx.identity:
+                types[k >> 1, t, bool(k & 1)] = classify_block(ctx, g)
+    return types
 
 
 def random_element(ctx, rng):

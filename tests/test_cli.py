@@ -125,7 +125,11 @@ def test_spectrum_rejects_a_semiprime_q_without_factoring_it(capsys):
 
 def test_a_large_prime_q_exceeds_the_supported_bound(capsys):
     q = 2**127 - 1
-    for argv in (["catalog", "--q", str(q)], ["spectrum", "--q", str(q), "--n", "1"]):
+    for argv in (
+        ["catalog", "--q", str(q)],
+        ["spectrum", "--q", str(q), "--n", "1"],
+        ["spectrum", "--q", str(q), "--n", "3"],
+    ):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: q=%d exceeds the supported bound 1048576\n" % q

@@ -5,6 +5,9 @@ name somewhere else in src/gk2genus, or in perfbench/*.py, whose layer
 trace also names attributes in strings.  Test-only references belong in
 tests/reference.py.  Dunder methods and cli.main, the console entry point,
 are exempt.
+
+Likewise every top-level definition in tests/reference.py must be named in
+a tests/test_*.py file, or in a reference definition that is.
 """
 
 import ast
@@ -15,6 +18,8 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "gk2genus").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 EXEMPT = {("cli.py", "main")}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -59,3 +64,21 @@ def unreferenced():
 
 def test_every_src_definition_has_a_product_caller():
     assert list(unreferenced()) == []
+
+
+def unused_references():
+    """Top-level reference definitions that no test reaches, directly or through others."""
+    tree = ast.parse(REFERENCE.read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, DEFS)}
+    reached = set()
+    frontier = _names((node for path in TESTS for node in ast.walk(ast.parse(path.read_text()))),
+                      strings=False)
+    while frontier:
+        new = set(frontier) & set(defs) - reached
+        reached |= new
+        frontier = _names((node for name in new for node in ast.walk(defs[name])), strings=False)
+    return sorted(set(defs) - reached)
+
+
+def test_every_reference_definition_is_used_by_a_test():
+    assert unused_references() == []
