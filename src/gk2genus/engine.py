@@ -301,8 +301,8 @@ def _burnside_orbits(sub):
     if sub.elements is None:
         return None
     ctx = sub.ctx
-    total = sum(ctx.fixed_points_on_h(g) for g in sub.elements)
-    return Fraction(total, sub.order)
+    fixed = sum(ctx.fix_h[tag] * k for tag, k in sub.census.items())
+    return Fraction(len(ctx.pts) + fixed, sub.order)  # the identity fixes every point
 
 
 def row_passed(row):
@@ -376,15 +376,10 @@ def verify_all(q):
 def classify_elements(q):
     """Fixed-point-type tally of every nonidentity element of M_ell."""
     ctx = ml_context(q)
-    counts = {}
-    for g in ctx.iter_elements():
-        if g == ctx.identity:
-            continue
-        tag = ctx.classify(g).tag
-        counts[tag] = counts.get(tag, 0) + 1
+    counts = ctx.census(ctx.iter_elements())
     return {
         "q": q,
         "counts": dict(sorted(counts.items())),
-        "total": sum(counts.values()),
+        "total": counts.total(),
         "group_order": ctx.order,
     }

@@ -12,26 +12,29 @@ MlContext(q) carries the curve points, dense lookup tables, the chord
 frame, the standard subgroup inventory (center Z, commutator S_ell, the
 elation groups at the chord points R0 and R1, the two-point-stabilizer torus
 generator and its swap coset), the element type table, orbit counting on curve
-points, and the tame quotient genus; the tables, the frame, the inventory and
-the type table are complete at construction.  An element's type is its
-fixed-point geometry, a function of the eigenvalues of the chord block
-B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
-(trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
-looked up after that.  The chord frame is a basis change P taking the
-basis to R0 and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]];
-frame_element conjugates a matrix preserving J into the chord element it
-stands for, and the inventory is built that way.
+points, the element census and the tame quotient genus; the tables, the frame,
+the inventory and the type table are complete at construction.  An element's
+type is its fixed-point geometry, a function of the eigenvalues of the chord
+block B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled
+once per (trace, det, scalar) key, from the eigenvalue rule in
+MlContext.classify, and looked up after that.  A census counts nonidentity
+elements by type, one classify call each; a Subgroup keeps its own, and its
+tame genus and Burnside orbit average are sums over it.  The chord frame is a
+basis change P taking the basis to R0 and R1 and the Hermitian form to
+J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
+into the chord element it stands for, and the inventory is built that way.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .formulas import hermitian_genus
+from .formulas import hermitian_genus, prime_power
 from .gf import _NP_TABLE_LIMIT, roots_of_unity
 from .hermitian import hermitian_points
 
@@ -119,6 +122,8 @@ class MlContext:
     """
 
     def __init__(self, q):
+        # a q that is no prime power is named so before any size bound
+        self.p, self.h = prime_power(q)
         if q * q > _NP_TABLE_LIMIT:
             raise ValueError(
                 "q=%d is too large: M_ell needs dense GF(q^2) tables, so q <= %d"
@@ -126,7 +131,6 @@ class MlContext:
             )
         self.q = q
         self.pts = hermitian_points(q)
-        self.p, self.h = self.pts.p, self.pts.h
         self.F = F = self.pts.F
         self.card = F.card
         self.mu = roots_of_unity(F, q + 1)
@@ -290,8 +294,8 @@ class MlContext:
         the traces of those pairs, a root of each and whether it is double.
         """
         q, F = self.q, self.F
-        A, B1, B2, C, E = (ElementType(tag, fix) for tag, fix in
-                           (("A", q + 1), ("B1", 0), ("B2", 2), ("C", 1), ("E", 1)))
+        self.fix_h = {"A": q + 1, "B1": 0, "B2": 2, "C": 1, "E": 1}
+        A, B1, B2, C, E = (ElementType(tag, fix) for tag, fix in self.fix_h.items())
         on_mu = F.np_pow_vec(q + 1) == 1  # by code; 0 is in neither root set
         swapped = F.np_pow_vec(1 - q)
         self._types = {}
@@ -311,23 +315,20 @@ class MlContext:
         for a in self.mu[1:]:  # B = a I, a != 1: a homology with center P
             self._types[F.add(a, a), F.mul(a, a), True] = A
 
-    def fixed_points_on_h(self, g):
-        """Exact count of fixed rational curve points, via the fixed geometry."""
-        if g == self.identity:
-            return len(self.pts)
-        return self.classify(g).fix_h
+    def census(self, elements):
+        """The nonidentity elements counted by type tag, with one classify call each.
 
-    def tame_quotient_genus(self, elements):
-        """Genus of the quotient curve by a group of order coprime to p."""
-        n = len(elements)
+        A group's fixed-point sums are sums of fix_h[tag] times its census counts.
+        """
+        return Counter(self.classify(g).tag for g in elements if g != self.identity)
+
+    def tame_quotient_genus(self, census):
+        """Genus of the quotient curve by a group of order coprime to p, from its census."""
+        n = census.total() + 1  # the census leaves out the identity
         if n % self.p == 0:
             raise ValueError("group order is divisible by p; quotient is not tame")
-        gh = hermitian_genus(self.q)
-        total = 0
-        for g in elements:
-            if g != self.identity:
-                total += self.fixed_points_on_h(g)
-        num = 2 * gh - 2 - total
+        fixed = sum(self.fix_h[tag] * k for tag, k in census.items())
+        num = 2 * hermitian_genus(self.q) - 2 - fixed
         quo, rem = divmod(num, 2 * n)
         if rem:
             raise AssertionError("tame genus is not an integer")
@@ -462,10 +463,15 @@ class Subgroup:
     def z1_intersection_order(self):
         return sum(1 for z in self.ctx.z1_elements if z in self)
 
-    def tame_genus(self):
+    @cached_property
+    def census(self):
+        """The type tally of the nonidentity elements, classified once per subgroup."""
         if self.elements is None:
-            raise ValueError("tame genus needs materialized elements")
-        return self.ctx.tame_quotient_genus(self.elements)
+            raise ValueError("the census needs materialized elements")
+        return self.ctx.census(self.elements)
+
+    def tame_genus(self):
+        return self.ctx.tame_quotient_genus(self.census)
 
 
 class DetPreimage(Subgroup):

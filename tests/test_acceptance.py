@@ -91,9 +91,7 @@ def _erratum_lifts(q, n):
     # a non-identity element fixes at most q + 1 of the q^3 + 1 points, so
     # Burnside caps the orbit count below the rejected value
     ctx = sub.ctx
-    max_fix = max(
-        ctx.fixed_points_on_h(g) for g in sub.elements if g != ctx.identity
-    )
+    max_fix = max(ctx.classify(g).fix_h for g in sub.elements if g != ctx.identity)
     assert max_fix <= q + 1, (inst.label(), max_fix)
     n_bound = (q**3 + 1 + (sub.order - 1) * (q + 1)) // sub.order
     assert n_bound < rejected_n, (inst.label(), n_bound, rejected_n)
@@ -310,7 +308,8 @@ def test_criterion_7_structural_suites():
             classified += 1
         for _ in range(50):
             sub = random_subgroup(ctx, rng)
-            fixed_total = sum(ctx.fixed_points_on_h(g) for g in sub.elements)
+            fixed = sum(ctx.fix_h[tag] * k for tag, k in sub.census.items())
+            fixed_total = len(ctx.pts) + fixed  # the identity fixes every point
             assert fixed_total % sub.order == 0
             n1, n2 = sub.orbit_counts()
             assert n1 + n2 == fixed_total // sub.order

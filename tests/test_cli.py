@@ -97,6 +97,10 @@ def test_classify_names_a_q_past_the_dense_table_bound(capsys):
     assert main(["classify", "--q", "37"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "q=37" in err
+    # past the bound too, a q that is no prime power is named as such
+    for q in ("36", "-40"):
+        assert main(["classify", "--q", q]) == 2
+        assert capsys.readouterr().err == "error: q must be a prime power, got %s\n" % q
 
 
 def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from gk2genus.engine import (
     verify_all,
 )
 from gk2genus.golden import GOLDEN_ROWS
-from gk2genus.mlgroup import Subgroup, ml_context
+from gk2genus.mlgroup import MlContext, Subgroup, ml_context
 from reference import kn_genus
 
 
@@ -160,6 +160,24 @@ def test_classify_elements_totals():
     assert rep["total"] == 719
     assert rep["group_order"] == (5**3 - 5) * 6
     assert set(rep["counts"]) <= {"A", "B1", "B2", "C", "E"}
+
+
+def test_a_subgroup_classifies_its_elements_once(monkeypatch):
+    # tame genus twice and the Burnside average read one cached census
+    ctx = ml_context(5)
+    calls = []
+    classify = MlContext.classify
+
+    def counting(self, g):
+        calls.append(g)
+        return classify(self, g)
+
+    monkeypatch.setattr(MlContext, "classify", counting)
+    sub = Subgroup.from_closure(ctx, [ctx.torus_gen])
+    assert sub.order == 24
+    assert sub.tame_genus() == sub.tame_genus()
+    assert engine._burnside_orbits(sub) == sub.n_orbits()
+    assert len(calls) == sub.order - 1
 
 
 def test_errata_report_entries():

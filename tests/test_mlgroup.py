@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from gk2genus.engine import _burnside_orbits
 from gk2genus.gf import make_field, roots_of_unity
 from gk2genus.golden import GOLDEN_ROWS
 from gk2genus.mlgroup import DetPreimage, MlContext, Subgroup, closure, ml_context
@@ -187,7 +188,11 @@ def test_identity_has_no_type_and_fixes_every_point(q):
     ctx = ml_context(q)
     with pytest.raises(ValueError):
         ctx.classify(ctx.identity)
-    assert ctx.fixed_points_on_h(ctx.identity) == q**3 + 1
+    # the census leaves the identity out, and the Burnside average counts it
+    # as fixing every point: the trivial group has q^3 + 1 orbits
+    trivial = Subgroup.from_closure(ctx, [])
+    assert trivial.census == Counter()
+    assert _burnside_orbits(trivial) == q**3 + 1
 
 
 def test_fixed_points_match_brute_random():
@@ -196,7 +201,9 @@ def test_fixed_points_match_brute_random():
         ctx = ml_context(q)
         for _ in range(60):
             g = random_element(ctx, rng)
-            assert ctx.fixed_points_on_h(g) == count_fixed_brute(ctx, g)
+            if g != ctx.identity:
+                rec = ctx.classify(g)
+                assert rec.fix_h == ctx.fix_h[rec.tag] == count_fixed_brute(ctx, g)
 
 
 def test_orbit_counts_known_groups():
@@ -275,7 +282,8 @@ def test_orbit_counts_burnside_random():
         for _ in range(8):
             sub = random_subgroup(ctx, rng)
             n1, n2 = sub.orbit_counts()
-            total = sum(ctx.fixed_points_on_h(g) for g in sub.elements)
+            assert sub.census.total() == sub.order - 1
+            total = len(ctx.pts) + sum(ctx.fix_h[tag] * k for tag, k in sub.census.items())
             assert total % sub.order == 0
             assert n1 + n2 == total // sub.order
 
@@ -284,12 +292,12 @@ def test_tame_quotient_genus_known():
     ctx = ml_context(4)
     # H_4 has genus 6; the center C_5 fixes the 5 chord points on the curve
     zsub = Subgroup.from_closure(ctx, [ctx.z_gen])
-    assert ctx.tame_quotient_genus(zsub.elements) == 0
+    assert ctx.tame_quotient_genus(zsub.census) == 0
     tsub = Subgroup.from_closure(ctx, [ctx.torus_gen])
     assert tsub.order == 15
-    assert ctx.tame_quotient_genus(tsub.elements) == 0
+    assert ctx.tame_quotient_genus(tsub.census) == 0
     with pytest.raises(ValueError):
-        ctx.tame_quotient_genus(ctx.s_ell)  # wild: p divides the order
+        ctx.tame_quotient_genus(ctx.census(ctx.s_ell))  # wild: p divides the order
 
 
 def test_tame_genus_matches_riemann_hurwitz_brute():
@@ -303,7 +311,7 @@ def test_tame_genus_matches_riemann_hurwitz_brute():
                 continue
             total = sum(count_fixed_brute(ctx, g) for g in sub.elements if g != ctx.identity)
             expect = 1 + (2 * gh - 2 - total) // (2 * sub.order)
-            assert ctx.tame_quotient_genus(sub.elements) == expect
+            assert ctx.tame_quotient_genus(sub.census) == sub.tame_genus() == expect
 
 
 class _CountingContext(MlContext):
