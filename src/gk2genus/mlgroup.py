@@ -19,7 +19,10 @@ block B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled
 once per (trace, det, scalar) key, from the eigenvalue rule in
 MlContext.classify, and looked up after that.  A census counts nonidentity
 elements by type, one classify call each; a Subgroup keeps its own, and its
-tame genus and Burnside orbit average are sums over it.  The chord frame is a
+tame genus and Burnside orbit average are sums over it.  Orbit counting
+memoizes each distinct generator's cycle labels on the context, one
+read-only 2-byte array per generator, so a generator shared by many
+subgroups is mapped to its point permutation once per q.  The chord frame is a
 basis change P taking the basis to R0 and R1 and the Hermitian form to
 J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
 into the chord element it stands for, and the inventory is built that way.
@@ -145,6 +148,7 @@ class MlContext:
         self.ADD = F.np_add_table()
         self.INV = F.np_pow_vec(-1)
         self.X, self.Y, self.Z = self.pts.np_coords()
+        self._cycle_heads = {}
         self._build_type_table()
         self._ensure_structure()
 
@@ -238,15 +242,23 @@ class MlContext:
 
         Each generator labels its cycles by their smallest point index; the
         orbits are the connected components of the union of those cycle
-        partitions, merged in one generator at a time (so memory stays
-        O(points) however many generators there are) by min-label hooking
-        and pointer jumping.
+        partitions, merged in one generator at a time by min-label hooking
+        and pointer jumping.  The labels of each distinct generator are
+        memoized on the context, so perm_of runs once per element per q
+        however many subgroups share it; the memo holds O(points) per
+        distinct generator, at 2 bytes each (q <= 32 gives at most 32,769
+        points), read-only since every caller shares it.
         """
         ids = np.arange(len(self.pts))
         lab = ids.copy()  # every label is a root: lab[lab] == lab
         for g in gens:
             # one edge i -- m(i) per point, m(i) the minimum of its g-cycle
-            tails, heads = ids, _cycle_minima(self.perm_of(g))
+            heads = self._cycle_heads.get(g)
+            if heads is None:
+                heads = _cycle_minima(self.perm_of(g)).astype(np.uint16)
+                heads.flags.writeable = False
+                self._cycle_heads[g] = heads
+            tails = ids
             while tails.size:
                 a, b = lab[tails], lab[heads]
                 split = a != b

@@ -259,12 +259,68 @@ def test_orbit_counts_match_bfs_on_catalog_instances():
             assert ctx.orbit_counts(gens) == _bfs_orbit_counts(ctx, gens), inst.label()
 
 
+def _catalog_generator_lists(q):
+    from gk2genus.catalog import enumerate_instances, instantiate
+
+    return [instantiate(inst).gens for inst in enumerate_instances(q)]
+
+
 def test_orbit_counts_match_bfs_on_random_generators_at_q25():
     ctx = ml_context(25)
+    # the memoized cycle labels of the catalog generators must not leak into
+    # the counts of other generator lists
+    for gens in _catalog_generator_lists(25):
+        ctx.orbit_counts(gens)
     rng = random.Random(41)
     for _ in range(24):
         gens = [random_element(ctx, rng) for _ in range(rng.randint(1, 3))]
         assert ctx.orbit_counts(gens) == _bfs_orbit_counts(ctx, gens)
+
+
+def test_orbit_counts_run_perm_of_once_per_distinct_generator():
+    ctx = MlContext(13)
+    # a fresh context's memo holds the structure search's generators
+    ctx._cycle_heads.clear()
+    calls = Counter()
+    perm_of = ctx.perm_of
+
+    def counted(g):
+        calls[g] += 1
+        return perm_of(g)
+
+    ctx.perm_of = counted
+    gen_lists = _catalog_generator_lists(13)
+    first = [ctx.orbit_counts(gens) for gens in gen_lists]
+    distinct = {g for gens in gen_lists for g in gens}
+    assert sum(len(gens) for gens in gen_lists) > len(distinct)
+    assert set(calls) == distinct and sum(calls.values()) == len(distinct)
+    calls.clear()
+    assert [ctx.orbit_counts(gens) for gens in gen_lists] == first
+    assert not calls
+
+
+def test_orbit_counts_do_not_depend_on_the_order_the_memo_fills():
+    gen_lists = _catalog_generator_lists(13)
+    forward = [ml_context(13).orbit_counts(gens) for gens in gen_lists]
+    ctx = MlContext(13)
+    ctx._cycle_heads.clear()
+    backward = [ctx.orbit_counts(gens) for gens in reversed(gen_lists)]
+    assert backward[::-1] == forward
+
+
+def test_memoized_cycle_labels_are_read_only_two_byte_arrays():
+    for q in (13, 32):
+        ctx = ml_context(q)
+        # the largest context, q = 32, has 32,769 points: every label fits 2 bytes
+        for gens in ([ctx.torus_gen], ctx.s_ell_gens + [ctx.torus_gen]):
+            assert ctx.orbit_counts(gens) == _bfs_orbit_counts(ctx, gens)
+        assert len(ctx._cycle_heads) >= len(ctx.s_ell_gens) + 1
+        for heads in ctx._cycle_heads.values():
+            assert (heads.dtype.kind, heads.itemsize) == ("u", 2)
+            assert heads.shape == (len(ctx.pts),)
+            assert not heads.flags.writeable
+            with pytest.raises(ValueError):
+                heads[0] = 1
 
 
 def test_orbit_counts_on_the_longest_cycles_and_on_no_generators():
