@@ -40,17 +40,20 @@ class FamilyInstance:
     """One admissible parameter choice for a subgroup family.
 
     params is a tuple of (name, value) pairs in a fixed per-family order,
-    order is the subgroup order inside M_ell, tame records whether the
-    characteristic divides that order, and det_rule is the order of the
-    determinant image that the parameters force.
+    order is the subgroup order inside M_ell, and det_rule is the order of
+    the determinant image that the parameters force.
     """
 
     q: int
     family: str
     params: tuple
     order: int
-    tame: bool
     det_rule: int
+
+    @property
+    def tame(self):
+        """Whether the order is prime to the characteristic."""
+        return self.order % formulas.prime_power(self.q)[0] != 0
 
     @property
     def param_dict(self):
@@ -173,7 +176,8 @@ def _torus_power(ctx, order):
 
 def _neg_norm_rep(ctx):
     """Smallest c with c^(q+1) = -1; (0, c, tau) then swaps the chord points."""
-    return min(c for a, c, _ in ctx.s_ell if a == 0)
+    F, minus_one = ctx.F, ctx.F.neg(1)
+    return next(c for c in range(ctx.card) if F.pow(c, ctx.q + 1) == minus_one)
 
 
 def _a1_element(ctx, i, j):
@@ -206,17 +210,6 @@ def _a1_triples(n):
 
 
 # -- standard matrix generators -------------------------------------------------
-
-
-def _sl2_matrix_gens(ctx, k):
-    """Standard SL(2, p^k) generators with entries in the order-p^k subfield."""
-    F, q = ctx.F, ctx.q
-    # the powers 1, omega, ..., omega^(k-1) of a generator omega of GF(p^k)*
-    # are a basis of GF(p^k) over GF(p)
-    omega = F.pow(F.gen_code, (q * q - 1) // (ctx.p**k - 1))
-    mats = [((1, F.pow(omega, i)), (0, 1)) for i in range(k)]
-    mats.append(((0, 1), (F.neg(1), 0)))
-    return mats
 
 
 def _quaternion_iota(ctx):
@@ -258,16 +251,11 @@ def _subfield_sqrt(ctx, value):
 # order, and returns the core generators; instantiate adds C_w, closes the
 # group or takes its determinant preimage, and certifies it.  A builder checks
 # only its recipe: the matrices, relations and elements it is built from.
-
-
-def _make_elementary_abelian(ctx, f):
-    return _invariant_elation_gens(ctx, ctx.identity, f)
-
-
-def _make_sl2_subfield(ctx, k):
-    if k == ctx.h:
-        return list(ctx.s_ell_gens)
-    return [_det1_element(ctx, M) for M in _sl2_matrix_gens(ctx, k)]
+# The SL(2, p^k) families (sl2_two, sl2_subfield, alt5 = SL(2, 4)) take the
+# standard generators from MlContext.sl2_gens; at k = h those are S_ell's
+# own, so instantiate keeps that group as a determinant preimage.  The elation
+# families (elementary_abelian, alt4, elation_semidirect, point_stabilizer)
+# all build through _make_elation_semidirect.
 
 
 def _chord_swap(ctx, square, conj_src, conj_dst):
@@ -286,9 +274,11 @@ def _make_dihedral(ctx, order):
     return [rot, _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))]
 
 
-def _make_elation_semidirect(ctx, f, d):
+def _make_elation_semidirect(ctx, f, d=1):
+    """An order-p^f elation group, extended by a torus element delta of order d > 1."""
     delta = _torus_power(ctx, d)
-    return _invariant_elation_gens(ctx, delta, f) + [delta]
+    gens = _invariant_elation_gens(ctx, delta, f)
+    return gens + [delta] if d > 1 else gens
 
 
 def _make_triangle_even(ctx, t):
@@ -321,12 +311,6 @@ def _make_triangle_swap(ctx, d, e, a, t):
     if not _a1_contains(n, d, e, a, i2, j2):
         raise RecipeError("swap square leaves the diagonal part")
     return _make_diagonal(ctx, d, e, a) + [sigma]
-
-
-def _make_point_stabilizer(ctx, mu, u):
-    if mu > 1:
-        return _make_elation_semidirect(ctx, f=u, d=mu)
-    return _invariant_elation_gens(ctx, ctx.identity, u)
 
 
 def _make_sl2_three(ctx):
@@ -401,8 +385,7 @@ def _make_sl2_split_ext(ctx, k):
     lam = F.pow(F.gen_code, (q * q - 1) // (2 * (ctx.p**k - 1)))
     if ctx.frobq[lam] != lam:
         raise RecipeError("splitting scalar left the q-subfield")
-    nu = ((lam, 0), (0, F.inv(lam)))
-    return [_det1_element(ctx, M) for M in _sl2_matrix_gens(ctx, k) + [nu]]
+    return ctx.sl2_gens(k) + [_det1_element(ctx, ((lam, 0), (0, F.inv(lam))))]
 
 
 def _make_unitary_pm(ctx, k):
@@ -412,18 +395,18 @@ def _make_unitary_pm(ctx, k):
 
 
 _BUILDERS = {
-    "elementary_abelian": _make_elementary_abelian,
-    "sl2_two": partial(_make_sl2_subfield, k=1),
-    "sl2_subfield": _make_sl2_subfield,
+    "elementary_abelian": _make_elation_semidirect,
+    "sl2_two": lambda ctx: ctx.sl2_gens(1),
+    "sl2_subfield": lambda ctx, k: ctx.sl2_gens(k),
     "dihedral": _make_dihedral,
-    "alt5": partial(_make_sl2_subfield, k=2),
+    "alt5": lambda ctx: ctx.sl2_gens(2),
     "alt4": partial(_make_elation_semidirect, f=2, d=3),
     "elation_semidirect": _make_elation_semidirect,
     "triangle": _make_triangle_even,
     "torus_cyclic": _make_torus_cyclic,
     "diagonal": _make_diagonal,
     "triangle_swap": _make_triangle_swap,
-    "point_stabilizer": _make_point_stabilizer,
+    "point_stabilizer": lambda ctx, mu, u: _make_elation_semidirect(ctx, f=u, d=mu),
     "sl2_three": _make_sl2_three,
     "binary_octahedral": _make_binary_octahedral,
     "gl2_three": _make_gl2_three,
@@ -462,29 +445,26 @@ def _even_instances(q, add):
 
     for w in ws:
         for f in range(1, h + 1):
-            add(FamilyInstance(q, "elementary_abelian", (("f", f), ("w", w)),
-                               2**f * w, False, w))
-        add(FamilyInstance(q, "sl2_two", (("w", w),), 6 * w, False, w))
+            add(FamilyInstance(q, "elementary_abelian", (("f", f), ("w", w)), 2**f * w, w))
+        add(FamilyInstance(q, "sl2_two", (("w", w),), 6 * w, w))
         for f in divisors(h):
             if f > 1:
                 add(FamilyInstance(q, "sl2_subfield", (("k", f), ("w", w)),
-                                   (2 ** (3 * f) - 2**f) * w, False, w))
+                                   (2 ** (3 * f) - 2**f) * w, w))
         for t in divisors(q - 1):
             if t > 1:
-                add(FamilyInstance(q, "dihedral", (("t", t), ("w", w)),
-                                   2 * t * w, False, w))
+                add(FamilyInstance(q, "dihedral", (("t", t), ("w", w)), 2 * t * w, w))
         if h % 2 == 0:
-            add(FamilyInstance(q, "alt5", (("w", w),), 60 * w, False, w))
-            add(FamilyInstance(q, "alt4", (("w", w),), 12 * w, False, w))
+            add(FamilyInstance(q, "alt5", (("w", w),), 60 * w, w))
+            add(FamilyInstance(q, "alt4", (("w", w),), 12 * w, w))
         for f in range(1, h + 1):
             for d in divisors(math.gcd(2**f - 1, q - 1)):
                 if d > 1:
                     add(FamilyInstance(q, "elation_semidirect",
                                        (("f", f), ("d", d), ("w", w)),
-                                       2**f * d * w, False, w))
+                                       2**f * d * w, w))
         for t in ws:
-            add(FamilyInstance(q, "triangle", (("t", t), ("w", w)),
-                               2 * t * w, False, w))
+            add(FamilyInstance(q, "triangle", (("t", t), ("w", w)), 2 * t * w, w))
 
 
 def _odd_instances(q, add):
@@ -493,42 +473,35 @@ def _odd_instances(q, add):
 
     for w in ws:
         if (q * q - 1) % 5 == 0:
-            add(FamilyInstance(q, "sl2_five", (("w", w),), 120 * w, p >= 7, w))
+            add(FamilyInstance(q, "sl2_five", (("w", w),), 120 * w, w))
         for k in divisors(h):
             order = p**k * (p ** (2 * k) - 1) * w
-            add(FamilyInstance(q, "sl2_subfield", (("k", k), ("w", w)),
-                               order, False, w))
+            add(FamilyInstance(q, "sl2_subfield", (("k", k), ("w", w)), order, w))
             if (h // k) % 2 == 0:
-                add(FamilyInstance(q, "sl2_split_ext", (("k", k), ("w", w)),
-                                   2 * order, False, w))
+                add(FamilyInstance(q, "sl2_split_ext", (("k", k), ("w", w)), 2 * order, w))
             else:
-                add(FamilyInstance(q, "unitary_pm", (("k", k), ("w", w)),
-                                   2 * order, False, 2 * w))
+                add(FamilyInstance(q, "unitary_pm", (("k", k), ("w", w)), 2 * order, 2 * w))
         if p >= 5:
-            add(FamilyInstance(q, "sl2_three", (("w", w),), 24 * w, True, w))
+            add(FamilyInstance(q, "sl2_three", (("w", w),), 24 * w, w))
             if (q - 1) % 8 == 0:
-                add(FamilyInstance(q, "binary_octahedral", (("w", w),),
-                                   48 * w, True, w))
+                add(FamilyInstance(q, "binary_octahedral", (("w", w),), 48 * w, w))
             else:
-                add(FamilyInstance(q, "gl2_three", (("w", w),), 48 * w, True, 2 * w))
+                add(FamilyInstance(q, "gl2_three", (("w", w),), 48 * w, 2 * w))
         for d in divisors((q - 1) // 2):
             if d > 1:
-                add(FamilyInstance(q, "dicyclic", (("d", d), ("w", w)),
-                                   4 * d * w, True, w))
+                add(FamilyInstance(q, "dicyclic", (("d", d), ("w", w)), 4 * d * w, w))
         for d in divisors(q - 1):
             if d > 2:
-                add(FamilyInstance(q, "dihedral", (("d", d), ("w", w)),
-                                   2 * d * w, True, 2 * w))
+                add(FamilyInstance(q, "dihedral", (("d", d), ("w", w)), 2 * d * w, 2 * w))
         for d in divisors((q - 1) // 2):
             if ((q - 1) // (2 * d)) % 2 == 1:
-                add(FamilyInstance(q, "hat_dicyclic", (("d", d), ("w", w)),
-                                   8 * d * w, True, 2 * w))
+                add(FamilyInstance(q, "hat_dicyclic", (("d", d), ("w", w)), 8 * d * w, 2 * w))
 
     for mu in divisors(q * q - 1):
         for u in range(1, h + 1):
             if _point_stab_realizable(q, mu, u):
                 add(FamilyInstance(q, "point_stabilizer", (("mu", mu), ("u", u)),
-                                   p**u * mu, False, _torus_det_rule(q, mu)))
+                                   p**u * mu, _torus_det_rule(q, mu)))
 
 
 def _triangle_swap_instances(q, add):
@@ -547,7 +520,7 @@ def _triangle_swap_instances(q, add):
                 share = math.gcd(g_s, t) if t else g_s
                 add(FamilyInstance(q, "triangle_swap",
                                    (("d", d), ("e", e), ("a", a), ("t", t)),
-                                   2 * d * e, True, n // share))
+                                   2 * d * e, n // share))
 
 
 def _tame_tail(q, add):
@@ -555,12 +528,10 @@ def _tame_tail(q, add):
     n = q + 1
     for e in divisors(q * q - 1):
         if n % e:
-            add(FamilyInstance(q, "torus_cyclic", (("e", e),), e, True,
-                               _torus_det_rule(q, e)))
+            add(FamilyInstance(q, "torus_cyclic", (("e", e),), e, _torus_det_rule(q, e)))
     for d, e, a in _a1_triples(n):
         g_s = math.gcd(math.gcd(n // d, (a + n // e) % n), n)
-        add(FamilyInstance(q, "diagonal", (("d", d), ("e", e), ("a", a)),
-                           d * e, True, n // g_s))
+        add(FamilyInstance(q, "diagonal", (("d", d), ("e", e), ("a", a)), d * e, n // g_s))
 
 
 @lru_cache(maxsize=None)

@@ -8,20 +8,20 @@ full automorphism group of the tower field; its elements are triples
      [c, t*a^q, 0],
      [0, 0,     1]]    with  a^(q+1) - c^(q+1) = 1,  t^(q+1) = 1.
 
-MlContext(q) carries the curve points, dense lookup tables, the chord
-frame, the standard subgroup inventory (center Z, commutator S_ell, the
-elation groups at the chord points R0 and R1, the two-point-stabilizer torus
-generator and its swap coset), the element type table, orbit counting on curve
-points, the element census and the tame quotient genus; the tables, the frame,
-the inventory and the type table are complete at construction.  An element's
-type is its fixed-point geometry, a function of the eigenvalues of the chord
-block B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled
-once per (trace, det, scalar) key, from the eigenvalue rule in
-MlContext.classify, and looked up after that.  A census counts nonidentity
-elements by type, one classify call each; a Subgroup keeps its own, and its
-tame genus and Burnside orbit average are sums over it.  Orbit counting
-memoizes each distinct generator's cycle labels on the context, one
-read-only 2-byte array per generator, so a generator shared by many
+MlContext(q) carries the curve points, dense lookup tables, the chord frame,
+the standard subgroup inventory (center Z, commutator S_ell with its standard
+SL(2, q) generators, the elation group at the chord point R0, the
+two-point-stabilizer torus generator and its swap coset), the element type
+table, orbit counting on curve points, the element census and the tame
+quotient genus; the tables, the frame, the inventory and the type table are
+complete at construction.  An element's type is its fixed-point geometry, a
+function of the eigenvalues of the chord block B = [[a, t*c^q], [c, t*a^q]]
+and of whether B is scalar; it is tabled once per (trace, det, scalar) key,
+from the eigenvalue rule in MlContext.classify, and looked up after that.  A
+census counts nonidentity elements by type, one classify call each; a Subgroup
+keeps its own, and its tame genus and Burnside orbit average are sums over it.
+Orbit counting memoizes each distinct generator's cycle labels on the context,
+one read-only 2-byte array per generator, so a generator shared by many
 subgroups is mapped to its point permutation once per q.  The chord frame is a
 basis change P taking the basis to R0 and R1 and the Hermitian form to
 J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
@@ -352,7 +352,10 @@ class MlContext:
     # -- the chord frame and the standard subgroup inventory ---------------------
 
     def _ensure_structure(self):
-        """Build the chord frame and the subgroup inventory; run once, by __init__."""
+        """Build the chord frame and the subgroup inventory; run once, by __init__.
+
+        S_ell's generators are the standard generators of SL(2, q), sl2_gens(h).
+        """
         F, q = self.F, self.q
         self.R0 = self.pts.points[0]
         self.R1 = self.pts.points[1]
@@ -387,30 +390,34 @@ class MlContext:
         self.P = P
         self.P_inv = ((F.mul(di, c), F.neg(F.mul(di, P[0][1]))), (F.neg(di), F.mul(di, x0)))
         # M preserves J exactly when M^(q)T J M = J: the diagonal frame matrices
-        # fix R0 and R1, the antidiagonal ones swap them, and the unipotent ones
-        # over the q-subfield are the elations fixing R0 or R1
+        # fix R0 and R1, the antidiagonal ones swap them, and the upper unipotent
+        # ones over the q-subfield are the elations fixing R0
         units = range(1, self.card)
-        subfield = [b for b in units if self.frobq[b] == b]
         self.wcoset = [self.frame_element(((0, al), (F.neg(F.pow(al, -q)), 0))) for al in units]
         self.torus_gen = self.frame_element(((F.gen_code, 0), (0, F.pow(F.gen_code, -q))))
         if self.order_of(self.torus_gen) != q * q - 1:
             raise AssertionError("torus generator has the wrong order")
-        e_q = sorted(self.frame_element(((1, b), (0, 1))) for b in subfield)
-        e_r1 = sorted(self.frame_element(((1, 0), (b, 1))) for b in subfield)
-        self.e_q, self.e_r1 = [self.identity] + e_q, [self.identity] + e_r1
-        # generators of S_ell from opposite elation groups; a pair of
-        # involutions is only dihedral, so even q > 2 needs the full E_q side
-        candidates = []
-        if self.p != 2 or self.h == 1:
-            candidates.extend([u, v] for u in e_q for v in e_r1)
-        candidates.append(e_q + e_r1[:1])
-        candidates.append(e_q + e_r1)
+        self.e_q = [self.identity] + sorted(
+            self.frame_element(((1, b), (0, 1))) for b in units if self.frobq[b] == b
+        )
+        self.s_ell_gens = self.sl2_gens(self.h)
         # S_ell acts regularly on the affine points (g sends (1, 0, 1) to g), so
         # a subset of S_ell generates it exactly when it is transitive on them
-        found = next((gens for gens in candidates if self.orbit_counts(gens)[1] == 1), None)
-        if not found:
-            raise AssertionError("opposite elation groups fail to generate S_ell")
-        self.s_ell_gens = found
+        if self.orbit_counts(self.s_ell_gens)[1] != 1:
+            raise AssertionError("the standard generators fail to generate S_ell")
+
+    def sl2_gens(self, k):
+        """Standard generators of SL(2, p^k), as chord elements, for k dividing h.
+
+        The unipotents [[1, omega^i], [0, 1]] for i < k, with omega a
+        generator of GF(p^k)*, whose powers 1, ..., omega^(k-1) are a basis
+        of GF(p^k) over GF(p), and the Weyl element [[0, 1], [-1, 0]].
+        """
+        F, q = self.F, self.q
+        omega = F.pow(F.gen_code, (q * q - 1) // (self.p**k - 1))
+        mats = [((1, F.pow(omega, i)), (0, 1)) for i in range(k)]
+        mats.append(((0, 1), (F.neg(1), 0)))
+        return [self.frame_element(M) for M in mats]
 
     def frame_element(self, M):
         """The chord element (B00, B10, det M) of B = P M P^-1.

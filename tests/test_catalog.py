@@ -308,7 +308,7 @@ def test_point_stabilizer_realizability():
 
 
 def test_instantiate_bound():
-    inst = FamilyInstance(32, "sl2_two", (("w", 1),), 6, False, 1)
+    inst = FamilyInstance(32, "sl2_two", (("w", 1),), 6, 1)
     with pytest.raises(ValueError, match="q <= 25"):
         instantiate(inst)
 
@@ -374,3 +374,26 @@ def test_instantiate_closures_spend_about_one_compose_per_element(
         instantiate(inst)
     assert spent["elements"] > 0
     assert spent["composes"] <= 2 * spent["elements"], spent
+
+
+INSTANTIATED_Q = (2, 4, 5, 8, 9, 13, 16, 17, 25)
+
+
+def test_every_enumerated_family_has_a_builder():
+    families = {inst.family for q in INSTANTIATED_Q for inst in enumerate_instances(q)}
+    assert families == set(catalog._BUILDERS)
+
+
+@pytest.mark.parametrize("q", INSTANTIATED_Q)
+def test_full_sl2_and_unitary_families_are_determinant_preimages(q):
+    # sl2_gens(h) is the S_ell generator list itself, so these groups keep
+    # the determinant preimage without materializing their elements
+    h = formulas.prime_power(q)[1]
+    insts = [
+        inst for inst in enumerate_instances(q)
+        if inst.family == "unitary_pm"
+        or (inst.family == "sl2_subfield" and inst.param_dict["k"] == h)
+    ]
+    assert insts or q == 2
+    for inst in insts:
+        assert isinstance(instantiate(inst), DetPreimage), inst.label()

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from gk2genus.engine import _burnside_orbits
+from gk2genus.formulas import prime_power
 from gk2genus.gf import make_field, roots_of_unity
 from gk2genus.golden import GOLDEN_ROWS
 from gk2genus.mlgroup import DetPreimage, MlContext, Subgroup, closure, ml_context
@@ -104,7 +105,9 @@ def test_standard_subgroups_match_their_definitions():
         assert set(torus_elements(ctx)) == torus
         assert set(ctx.wcoset) == wcoset
         assert set(ctx.e_q) == e_q
-        assert set(ctx.e_r1) == e_r1
+        units = range(1, ctx.card)
+        lower = {ctx.frame_element(((1, 0), (b, 1))) for b in units if ctx.frobq[b] == b}
+        assert lower | {ctx.identity} == e_r1
 
 
 def test_s_ell_generators_generate():
@@ -112,6 +115,26 @@ def test_s_ell_generators_generate():
         ctx = ml_context(q)
         cl = closure(ctx.s_ell_gens, ctx.compose, ctx.identity)
         assert cl == set(ctx.s_ell)
+
+
+PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_s_ell_generators_are_the_standard_sl2_generators(q):
+    ctx = ml_context(q)
+    assert ctx.s_ell_gens == ctx.sl2_gens(ctx.h)
+    assert len(ctx.s_ell_gens) == ctx.h + 1
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_32 if prime_power(q)[1] > 1])
+def test_standard_sl2_generators_of_each_proper_subfield(q):
+    ctx = ml_context(q)
+    for k in range(1, ctx.h):
+        if ctx.h % k == 0:
+            els = closure(ctx.sl2_gens(k), ctx.compose, ctx.identity)
+            assert len(els) == ctx.p**k * (ctx.p ** (2 * k) - 1)
+            assert all(g[2] == 1 for g in els)
 
 
 def test_beta_and_z1_odd_q():
