@@ -133,37 +133,6 @@ def _conj(ctx, g, x):
     return ctx.compose(ctx.compose(g, x), ctx.inverse(g))
 
 
-def _invariant_elation_gens(ctx, delta, u):
-    """Generators of an order-p^u elation subgroup normalized by delta.
-
-    Greedy scan over the elation group at the first chord point: each
-    candidate contributes its whole conjugation orbit, so every partial span
-    stays delta-invariant.  Deterministic, and fails loudly when no invariant
-    subgroup of the requested size exists.
-    """
-    target = ctx.p**u
-    dinv = ctx.inverse(delta)
-    span = {ctx.identity}
-    gens = []
-    for x in ctx.e_q:
-        if x in span:
-            continue
-        orbit = [x]
-        y = ctx.compose(ctx.compose(delta, x), dinv)
-        while y != x:
-            orbit.append(y)
-            y = ctx.compose(ctx.compose(delta, y), dinv)
-        try:
-            trial = closure(gens + orbit, ctx.compose, ctx.identity, maxsize=target)
-        except ValueError:
-            continue
-        span = trial
-        gens = gens + orbit
-        if len(span) == target:
-            return gens
-    raise RecipeError("no invariant elation subgroup of order %d found" % target)
-
-
 def _torus_power(ctx, order):
     q = ctx.q
     if (q * q - 1) % order:
@@ -172,12 +141,6 @@ def _torus_power(ctx, order):
     if ctx.order_of(g) != order:
         raise RecipeError("torus power has wrong order")
     return g
-
-
-def _neg_norm_rep(ctx):
-    """Smallest c with c^(q+1) = -1; (0, c, tau) then swaps the chord points."""
-    F, minus_one = ctx.F, ctx.F.neg(1)
-    return next(c for c in range(ctx.card) if F.pow(c, ctx.q + 1) == minus_one)
 
 
 def _a1_element(ctx, i, j):
@@ -236,48 +199,46 @@ def _sl2_three_matrices(ctx):
     return i_mat, j_mat, theta
 
 
-def _subfield_sqrt(ctx, value):
-    """Deterministic square root of a q-subfield element, inside that subfield."""
-    F = ctx.F
-    for s in range(F.card):
-        if ctx.frobq[s] == s and F.mul(s, s) == value:
-            return s
-    raise RecipeError("no square root in the q-subfield")
-
-
 # -- family builders -------------------------------------------------------------
 #
 # A builder takes its family's parameters other than w, positionally in label
 # order, and returns the core generators; instantiate adds C_w, closes the
 # group or takes its determinant preimage, and certifies it.  A builder checks
 # only its recipe: the matrices, relations and elements it is built from.
+# Every generator is written down in closed form, mostly as a frame matrix
+# whose entries are powers of the field generator; no builder searches group
+# elements or field codes.
 # The SL(2, p^k) families (sl2_two, sl2_subfield, alt5 = SL(2, 4)) take the
 # standard generators from MlContext.sl2_gens; at k = h those are S_ell's
 # own, so instantiate keeps that group as a determinant preimage.  The elation
 # families (elementary_abelian, alt4, elation_semidirect, point_stabilizer)
-# all build through _make_elation_semidirect.
-
-
-def _chord_swap(ctx, square, conj_src, conj_dst):
-    """Smallest chord-point swap with the given square and conjugation effect."""
-    for g in sorted(ctx.wcoset):
-        if ctx.power(g, 2) != square:
-            continue
-        if _conj(ctx, g, conj_src) == conj_dst:
-            return g
-    raise RecipeError("no chord swap satisfies the required relations")
+# all build through _make_elation_semidirect; the dihedral families take the
+# chord swap MlContext.swap, and the dicyclic ones the Weyl element.
 
 
 def _make_dihedral(ctx, order):
     """Dihedral group with the given rotation order (t at even q, d at odd q)."""
-    rot = _torus_power(ctx, order)
-    return [rot, _chord_swap(ctx, ctx.identity, rot, ctx.inverse(rot))]
+    return [_torus_power(ctx, order), ctx.swap]
 
 
 def _make_elation_semidirect(ctx, f, d=1):
-    """An order-p^f elation group, extended by a torus element delta of order d > 1."""
+    """An order-p^f elation group, extended by a torus element delta of order d > 1.
+
+    delta = diag(lam, lam^-q) conjugates U(b) = [[1, b], [0, 1]] to U(nu b)
+    with nu = lam^(q+1), which generates GF(p^r).  The U(nu^i theta^j), i < r
+    and j < f/r, with theta a generator of GF(q)*, are a GF(p)-basis of a
+    GF(p^r)-subspace of GF(q), so they generate an order-p^f group that
+    delta normalizes.
+    """
+    F, q = ctx.F, ctx.q
     delta = _torus_power(ctx, d)
-    gens = _invariant_elation_gens(ctx, delta, f)
+    nu = F.pow(F.pow(F.gen_code, (q * q - 1) // d), q + 1)
+    r = formulas.multiplicative_order(ctx.p, F.order_of(nu))
+    if f % r:
+        raise RecipeError("no delta-invariant elation group of order p^%d" % f)
+    theta = F.pow(F.gen_code, q + 1)
+    gens = [ctx.frame_element(((1, F.mul(F.pow(nu, i), F.pow(theta, j))), (0, 1)))
+            for j in range(f // r) for i in range(r)]
     return gens + [delta] if d > 1 else gens
 
 
@@ -301,8 +262,10 @@ def _make_diagonal(ctx, d, e, a):
 
 
 def _make_triangle_swap(ctx, d, e, a, t):
-    n = ctx.q + 1
-    sigma = (0, _neg_norm_rep(ctx), ctx.mu[t % n])
+    F, q = ctx.F, ctx.q
+    n = q + 1
+    # c^(q+1) = -1, so (0, c, tau) swaps the chord points
+    sigma = (0, F.pow(F.gen_code, (q - 1) // 2), ctx.mu[t % n])
     if not ctx.is_element(sigma):
         raise RecipeError("swap representative is not a chord element")
     s2 = ctx.power(sigma, 2)
@@ -317,27 +280,14 @@ def _make_sl2_three(ctx):
     return [_det1_element(ctx, M) for M in _sl2_three_matrices(ctx)]
 
 
-def _make_binary_octahedral(ctx):
-    F = ctx.F
-    iot = _quaternion_iota(ctx)
-    r2 = _subfield_sqrt(ctx, F.add(1, 1))
-    nu = ((F.div(F.add(1, iot), r2), 0), (0, F.div(F.sub(1, iot), r2)))
-    mats = list(_sl2_three_matrices(ctx)) + [nu]
-    return [_det1_element(ctx, M) for M in mats]
+def _make_sl2_three_ext(ctx):
+    """SL(2, 3) extended by diag(zeta, zeta^-q), zeta^2 = iota a fourth root of 1.
 
-
-def _make_gl2_three(ctx):
-    core_gens = _make_sl2_three(ctx)
-    core = closure(core_gens, ctx.compose, ctx.identity, maxsize=64)
-    if len(core) != 24:
-        raise RecipeError("quaternionic core has wrong order")
-    for s in ctx.s_ell:
-        g = ctx.compose(ctx.beta, s)
-        if ctx.power(g, 2) not in core:
-            continue
-        if all(_conj(ctx, g, x) in core for x in core_gens):
-            return core_gens + [g]
-    raise RecipeError("no involution-coset extension of the quaternionic core")
+    At q = 1 (mod 8) that is (1 + i)/sqrt 2 and the group is binary
+    octahedral; at q = 5 (mod 8) it is iota (1 - i)/sqrt 2, of determinant
+    -1, and the group is GL(2, 3).
+    """
+    return _make_sl2_three(ctx) + [_torus_power(ctx, 8)]
 
 
 def _make_sl2_five(ctx):
@@ -346,8 +296,9 @@ def _make_sl2_five(ctx):
     F = ctx.F
     iot = _quaternion_iota(ctx)
     half = F.inv(F.add(1, 1))
-    five = F.add(F.add(F.add(F.add(1, 1), 1), 1), 1)
-    r5 = _subfield_sqrt(ctx, five)
+    # z + 1/z = (-1 +- sqrt 5)/2 for z of order 5, and lies in GF(q) since z^q = z^(+-1)
+    z = F.pow(F.gen_code, (ctx.q * ctx.q - 1) // 5)
+    r5 = F.add(F.mul(F.add(1, 1), F.add(z, F.inv(z))), 1)
     phi = F.mul(half, F.add(1, r5))
     phi_inv = F.inv(phi)
     i_mat = ((iot, 0), (0, F.neg(iot)))
@@ -362,21 +313,16 @@ def _make_sl2_five(ctx):
 
 
 def _make_dicyclic(ctx, d):
-    F, q = ctx.F, ctx.q
-    gamma = F.pow(F.gen_code, (q * q - 1) // (2 * d))
-    if ctx.frobq[gamma] != gamma:
-        raise RecipeError("dicyclic rotation scalar left the q-subfield")
-    rot = _det1_element(ctx, ((gamma, 0), (0, F.inv(gamma))))
-    tw = _det1_element(ctx, ((0, 1), (F.neg(1), 0)))
+    rot, tw = _torus_power(ctx, 2 * d), ctx.sl2_gens(1)[-1]
     if ctx.power(rot, d) != ctx.power(tw, 2) or _conj(ctx, tw, rot) != ctx.inverse(rot):
         raise RecipeError("dicyclic presentation fails")
     return [rot, tw]
 
 
 def _make_hat_dicyclic(ctx, d):
-    alpha = _torus_power(ctx, 4 * d)
-    xi = _chord_swap(ctx, ctx.power(alpha, 2 * d), alpha, ctx.power(alpha, 2 * d - 1))
-    return [alpha, xi]
+    # (q - 1)/(2d) is odd, so the Weyl element squares to -1 = alpha^(2d)
+    # and conjugates alpha to alpha^(2d - 1)
+    return [_torus_power(ctx, 4 * d), ctx.sl2_gens(1)[-1]]
 
 
 def _make_sl2_split_ext(ctx, k):
@@ -408,8 +354,8 @@ _BUILDERS = {
     "triangle_swap": _make_triangle_swap,
     "point_stabilizer": lambda ctx, mu, u: _make_elation_semidirect(ctx, f=u, d=mu),
     "sl2_three": _make_sl2_three,
-    "binary_octahedral": _make_binary_octahedral,
-    "gl2_three": _make_gl2_three,
+    "binary_octahedral": _make_sl2_three_ext,
+    "gl2_three": _make_sl2_three_ext,
     "sl2_five": _make_sl2_five,
     "dicyclic": _make_dicyclic,
     "hat_dicyclic": _make_hat_dicyclic,
@@ -586,7 +532,8 @@ def instantiate(inst):
     if set(ctx.s_ell_gens) <= set(gens):
         sub = DetPreimage(ctx, gens)
     else:
-        sub = Subgroup.from_closure(ctx, gens, maxsize=4 * inst.order + 16)
+        els = closure(gens, ctx.compose, ctx.identity, maxsize=4 * inst.order + 16)
+        sub = Subgroup(ctx, gens, els)
     if sub.order != inst.order:
         raise RecipeError(
             "%s built order %d, expected %d" % (inst.label(), sub.order, inst.order)

@@ -10,22 +10,22 @@ full automorphism group of the tower field; its elements are triples
 
 MlContext(q) carries the curve points, dense lookup tables, the chord frame,
 the standard subgroup inventory (center Z, commutator S_ell with its standard
-SL(2, q) generators, the elation group at the chord point R0, the
-two-point-stabilizer torus generator and its swap coset), the element type
-table, orbit counting on curve points, the element census and the tame
-quotient genus; the tables, the frame, the inventory and the type table are
-complete at construction.  An element's type is its fixed-point geometry, a
-function of the eigenvalues of the chord block B = [[a, t*c^q], [c, t*a^q]]
-and of whether B is scalar; it is tabled once per (trace, det, scalar) key,
-from the eigenvalue rule in MlContext.classify, and looked up after that.  A
-census counts nonidentity elements by type, one classify call each; a Subgroup
-keeps its own, and its tame genus and Burnside orbit average are sums over it.
-Orbit counting memoizes each distinct generator's cycle labels on the context,
-one read-only 2-byte array per generator, so a generator shared by many
-subgroups is mapped to its point permutation once per q.  The chord frame is a
-basis change P taking the basis to R0 and R1 and the Hermitian form to
-J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving J
-into the chord element it stands for, and the inventory is built that way.
+SL(2, q) generators, the two-point-stabilizer torus generator and the chord
+swap involution), the element type table, orbit counting on curve points, the
+element census and the tame quotient genus; the tables, the frame, the
+inventory and the type table are complete at construction.  An element's type
+is its fixed-point geometry, a function of the eigenvalues of the chord block
+B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
+(trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
+looked up after that.  A census counts nonidentity elements by type, one
+classify call each; a Subgroup keeps its own, and its tame genus and Burnside
+orbit average are sums over it.  Orbit counting memoizes each distinct
+generator's cycle labels on the context, one read-only 2-byte array per
+generator, so a generator shared by many subgroups is mapped to its point
+permutation once per q.  The chord frame is a basis change P taking the basis
+to R0 and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]];
+frame_element conjugates a matrix preserving J into the chord element it stands
+for, and the inventory is built that way.
 """
 
 from __future__ import annotations
@@ -354,7 +354,9 @@ class MlContext:
     def _ensure_structure(self):
         """Build the chord frame and the subgroup inventory; run once, by __init__.
 
-        S_ell's generators are the standard generators of SL(2, q), sl2_gens(h).
+        The torus generator, the chord swap and S_ell's generators, the
+        standard generators of SL(2, q) from sl2_gens(h), are frame images of
+        diagonal, antidiagonal and unipotent matrices.
         """
         F, q = self.F, self.q
         self.R0 = self.pts.points[0]
@@ -390,16 +392,13 @@ class MlContext:
         self.P = P
         self.P_inv = ((F.mul(di, c), F.neg(F.mul(di, P[0][1]))), (F.neg(di), F.mul(di, x0)))
         # M preserves J exactly when M^(q)T J M = J: the diagonal frame matrices
-        # fix R0 and R1, the antidiagonal ones swap them, and the upper unipotent
-        # ones over the q-subfield are the elations fixing R0
-        units = range(1, self.card)
-        self.wcoset = [self.frame_element(((0, al), (F.neg(F.pow(al, -q)), 0))) for al in units]
+        # diag(x, x^-q) fix R0 and R1, and the antidiagonal ones swap them; swap,
+        # [[0, delta], [1/delta, 0]], is an involution that inverts every torus
+        # element of order dividing q - 1
         self.torus_gen = self.frame_element(((F.gen_code, 0), (0, F.pow(F.gen_code, -q))))
         if self.order_of(self.torus_gen) != q * q - 1:
             raise AssertionError("torus generator has the wrong order")
-        self.e_q = [self.identity] + sorted(
-            self.frame_element(((1, b), (0, 1))) for b in units if self.frobq[b] == b
-        )
+        self.swap = self.frame_element(((0, delta), (F.inv(delta), 0)))
         self.s_ell_gens = self.sl2_gens(self.h)
         # S_ell acts regularly on the affine points (g sends (1, 0, 1) to g), so
         # a subset of S_ell generates it exactly when it is transitive on them

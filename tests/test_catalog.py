@@ -397,3 +397,24 @@ def test_full_sl2_and_unitary_families_are_determinant_preimages(q):
     assert insts or q == 2
     for inst in insts:
         assert isinstance(instantiate(inst), DetPreimage), inst.label()
+
+
+ELATION_FAMILIES = ("elementary_abelian", "alt4", "elation_semidirect", "point_stabilizer")
+
+
+@pytest.mark.parametrize("q", INSTANTIATED_Q)
+def test_elation_recipe_spends_one_generator_per_dimension(q):
+    # an order-p^f elation group from a GF(p)-basis of f unipotents, plus
+    # delta when d > 1 and the central generator when w > 1
+    insts = [inst for inst in enumerate_instances(q) if inst.family in ELATION_FAMILIES]
+    assert insts
+    for inst in insts:
+        P = inst.param_dict
+        if inst.family == "alt4":
+            f, d = 2, 3
+        elif inst.family == "point_stabilizer":
+            f, d = P["u"], P["mu"]
+        else:
+            f, d = P["f"], P.get("d", 1)
+        expected = f + (d > 1) + (P.get("w", 1) > 1)
+        assert len(instantiate(inst).gens) == expected, inst.label()

@@ -63,9 +63,7 @@ def test_standard_subgroups():
         ctx = ml_context(q)
         assert len(ctx.s_ell) == q**3 - q
         assert len(z_elements(ctx)) == q + 1
-        assert len(ctx.e_q) == q
         assert len(torus_elements(ctx)) == q * q - 1
-        assert len(ctx.wcoset) == q * q - 1
         assert ctx.order_of(ctx.torus_gen) == q * q - 1
         # Z is central: commutes with everything we try
         rng = random.Random(q)
@@ -103,11 +101,19 @@ def test_standard_subgroups_match_their_definitions():
                 if r1 == R1:
                     e_r1.add(g)
         assert set(torus_elements(ctx)) == torus
-        assert set(ctx.wcoset) == wcoset
-        assert set(ctx.e_q) == e_q
-        units = range(1, ctx.card)
+        F, units = ctx.F, range(1, ctx.card)
+        anti = {ctx.frame_element(((0, al), (F.neg(F.pow(al, -q)), 0))) for al in units}
+        assert anti == wcoset
+        upper = {ctx.frame_element(((1, b), (0, 1))) for b in units if ctx.frobq[b] == b}
+        assert upper | {ctx.identity} == e_q
         lower = {ctx.frame_element(((1, 0), (b, 1))) for b in units if ctx.frobq[b] == b}
         assert lower | {ctx.identity} == e_r1
+        assert ctx.swap in wcoset
+        assert ctx.swap != ctx.identity and ctx.compose(ctx.swap, ctx.swap) == ctx.identity
+        # it inverts the torus elements of order dividing q - 1
+        rot = ctx.power(ctx.torus_gen, q + 1)
+        swapped = ctx.compose(ctx.compose(ctx.swap, rot), ctx.swap)
+        assert swapped == ctx.inverse(rot)
 
 
 def test_s_ell_generators_generate():
@@ -411,7 +417,8 @@ class _CountingContext(MlContext):
 def test_power_is_repeated_compose_at_one_product_per_bit(q):
     ctx = _CountingContext(q)
     ref = ml_context(q)
-    gens = [ref.torus_gen, ref.e_q[1], ref.compose(ref.torus_gen, ref.e_q[1])]
+    elation = ref.sl2_gens(1)[0]
+    gens = [ref.torus_gen, elation, ref.compose(ref.torus_gen, elation)]
     for g in gens:
         order = ref.order_of(g)
         acc = ref.identity  # g^e as e-fold compose
@@ -495,8 +502,8 @@ def test_closure_matches_the_breadth_first_reference():
 
 
 def test_closure_guard_raises_exactly_past_maxsize():
-    # catalog._invariant_elation_gens relies on this: its greedy scan keeps a
-    # candidate exactly when the span stays within the target order
+    # the bound is exact, so catalog.instantiate's bound stops a wrong recipe
+    # early instead of closing a larger group
     for name, mul, identity, lists in _closure_cases():
         for gens in lists:
             order = len(_bfs_closure(gens, mul, identity))

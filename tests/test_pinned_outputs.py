@@ -46,6 +46,12 @@ PINS = {
     "verify --q 4 --format json": (0, "ee75cdff48cf719c8091d2cee17223527a07bb79f980b81ee1741947799b9493"),
     "verify --q 5 --format json": (0, "4d8b0146f52d4f6097adcb4e7c58976e983ff15b58e1bb25b3614bae9215f7d6"),
     "verify --q 9 --format json": (0, "0323a9ed1d57bad92617ffb78887d3464a2254b05fb956cbdb54be8ad0880af8"),
+    # oracle spectra at the fields no golden row reaches; q = 17 is the only
+    # pinned output that builds binary_octahedral
+    "spectrum --q 2 --n 3 --format json": (0, "600431adf372960429bebcc565337dbc6324677d8e4ea21bad10fb62766ef4cf"),
+    "spectrum --q 8 --n 3 --format json": (0, "d72f4d87d2ba0d3aad45750ce8b6007b1e081e2af294f6ef55f7fea9acff2dd8"),
+    "spectrum --q 16 --n 3 --format json": (0, "331f5e0a92fc5a358f57222378757728da79432d75837e0fdd397327d20667bc"),
+    "spectrum --q 17 --n 3 --format json": (0, "f08c56db1393345b3506f1c475b2aa85cad6de72af9c6f97c6f6b0a90696dc86"),
     # formula mode past the golden rows, and the rejection of a q past the explicit bound
     "spectrum --q 4096 --n 3 --format json": (0, "8b8ae44f7b2c8f734ea0925772a113eb030f1da2105bd77a257b0762e670615e"),
     "spectrum --q 2401 --n 3 --format json": (0, "a86839c104f2f87790af9acfc6488ba56c308657ec5bf48645b31ed2e7e5ebc5"),
