@@ -9,17 +9,48 @@ exp/log arrays over the canonical generator make mul/inv/pow/order O(1)
 lookups, and a Zech-logarithm array (log(1 + g^i) for each i) makes
 add/neg lookups too at odd p; at p = 2 addition is XOR.  Contexts are
 singletons per (p, k), created via make_field.
+
+numpy is loaded on first use, not at import: formula mode, catalog listings
+and argument rejections never touch a numpy table, so they never load it.
+This module holds the package's one numpy handle, np; hermitian and mlgroup
+take it from here.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .formulas import is_prime, prime_factors
+
+
+def _lazy_numpy():
+    """numpy, executed on its first attribute access (the LazyLoader recipe).
+
+    An already imported numpy is returned unchanged.  Otherwise the module is
+    registered in sys.modules unexecuted, and a missing numpy raises
+    ModuleNotFoundError here, as the plain import would.  Other modules must
+    use `from .gf import np`: a plain `import numpy` finds the lazy module in
+    sys.modules and reads its __spec__, which executes it at once.  LazyLoader
+    is not thread-safe on first access before Python 3.12; the package is
+    single-threaded.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 _CARD_LIMIT = 2**15
 _NP_TABLE_LIMIT = 1024

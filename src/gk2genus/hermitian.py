@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .formulas import prime_power
-from .gf import make_field
+from .gf import make_field, np
 
 
 class HermitianPointSet:

@@ -35,10 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .formulas import hermitian_genus, prime_power
-from .gf import _NP_TABLE_LIMIT, roots_of_unity
+from .gf import _NP_TABLE_LIMIT, np, roots_of_unity
 from .hermitian import hermitian_points
 
 ML_CLOSURE_LIMIT = 2**22

@@ -158,6 +158,36 @@ def test_the_cli_runs_without_importing_sympy():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("command, exit_code, loads_numpy", [
+    # formula mode, the catalog listing and argument rejections use the
+    # closed forms only
+    ("spectrum --q 1048576 --n 3", 0, False),
+    ("spectrum --q 29 --n 5", 0, False),
+    ("catalog --q 9", 0, False),
+    ("verify --q 1048576", 2, False),
+    ("classify --q 37", 2, False),
+    ("classify --q 256", 2, False),
+    ("spectrum --q 36 --n 3", 2, False),
+    # the group action at q = 2 loads it: the check tells the two apart
+    ("spectrum --q 2 --n 3", 0, True),
+])
+def test_numpy_loads_only_when_the_group_action_runs(command, exit_code, loads_numpy):
+    # a lazy numpy sits in sys.modules unexecuted; executing it imports
+    # numpy.* submodules, under numpy 1 and numpy 2 alike
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import gk2genus.cli as cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "    rc = cli.main(%r)" % command.split(),
+        "print(rc, any(m.startswith('numpy.') for m in sys.modules))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gk2genus.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "%d %s\n" % (exit_code, loads_numpy)
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--q", "4"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import sys
 
+import numpy
 import pytest
 from sympy import ZZ, factorint, isprime, totient
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 
 import gk2genus
+from gk2genus import gf, hermitian, mlgroup
 from gk2genus.gf import _code_of, _coeffs_of, make_field, roots_of_unity
 from reference import embed_codes, lex_key
 
@@ -248,3 +251,9 @@ def test_dense_tables_match_scalar_ops(p, k):
 def test_package_exports_resolve():
     for name in gk2genus.__all__:
         assert hasattr(gk2genus, name), name
+
+
+def test_every_module_shares_the_one_numpy_handle():
+    assert gf.np is hermitian.np is mlgroup.np is sys.modules["numpy"] is numpy
+    # an already imported numpy is returned unchanged
+    assert gf._lazy_numpy() is numpy

@@ -8,6 +8,8 @@ are exempt.
 
 Likewise every top-level definition in tests/reference.py must be named in
 a tests/test_*.py file, or in a reference definition that is.
+
+numpy is imported in one place only, lazily, as gf.np.
 """
 
 import ast
@@ -82,3 +84,22 @@ def unused_references():
 
 def test_every_reference_definition_is_used_by_a_test():
     assert unused_references() == []
+
+
+def numpy_imports():
+    """Import statements of numpy or a numpy submodule under src/gk2genus."""
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                yield "%s:%d" % (path.name, node.lineno)
+
+
+def test_numpy_is_imported_only_through_the_lazy_handle_in_gf():
+    # a plain `import numpy` would execute gf's lazy module at once
+    assert list(numpy_imports()) == []
