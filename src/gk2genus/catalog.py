@@ -7,9 +7,10 @@ orders, triangle data.  enumerate_instances(q) lists every admissible
 instantiate(inst) builds the corresponding explicit subgroup.  Each family's
 builder returns only its core generators; instantiate alone adds the central
 C_w, closes the group or takes its determinant preimage, and certifies the
-order together with the involution count of the quaternionic families.  A
-recipe that fails to certify raises RecipeError instead of substituting
-something else.
+order, the determinant image and the involution count of the quaternionic
+families.  A recipe that fails to certify raises RecipeError instead of
+substituting something else.  Subgroups are not cached: each call builds
+and certifies a new one, which the caller drops when it is done with it.
 Wild families carry closed-form (genus, orbit count) data so the spectrum
 engine can run where explicit groups are out of reach; tame families are
 evaluated through the group action directly.
@@ -517,9 +518,13 @@ def enumerate_instances(q, include_tame=True):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def instantiate(inst):
-    """Build and certify the explicit subgroup for a small-field instance."""
+    """Build and certify the explicit subgroup for a small-field instance.
+
+    The order, the determinant image order inst.det_rule and, for the
+    quaternionic families, the involution count are certified.  Nothing is
+    cached.
+    """
     if inst.q > SMALL_Q_LIMIT:
         raise ValueError(
             "explicit subgroups are only constructed for q <= %d" % SMALL_Q_LIMIT
@@ -538,6 +543,12 @@ def instantiate(inst):
         raise RecipeError(
             "%s built order %d, expected %d" % (inst.label(), sub.order, inst.order)
         )
+    s = sub.det_image_order()
+    if s != inst.det_rule:
+        raise RecipeError(
+            "%s has determinant image of order %d, rule says %d"
+            % (inst.label(), s, inst.det_rule)
+        )
     involutions = _INVOLUTIONS.get(inst.family)
     if involutions is not None and _involution_count(ctx, sub) != involutions:
         raise RecipeError(
@@ -547,13 +558,9 @@ def instantiate(inst):
 
 
 def s_of(inst):
-    """Order of the determinant character image of the instance."""
-    if inst.q <= SMALL_Q_LIMIT:
-        s = instantiate(inst).det_image_order()
-        if s != inst.det_rule:
-            raise RecipeError(
-                "%s has determinant image of order %d, rule says %d"
-                % (inst.label(), s, inst.det_rule)
-            )
-        return s
+    """Order of the determinant character image of the instance.
+
+    That is the rule inst.det_rule, which instantiate certifies at every
+    q <= 25.
+    """
     return inst.det_rule

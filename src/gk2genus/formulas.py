@@ -33,9 +33,10 @@ RHO_EFFORT = 2**16
 _RHO_BATCH = 64
 # Trial-division bound of the sympy.factorint(m, limit=FACTOR_LIMIT)
 # fallback, made only when RHO_EFFORT leaves a cofactor of m composite;
-# factorint scales its rho and p-1 effort to the limit too, so the budget is
-# a fixed amount of work, not a time.  A cofactor above the limit that it
-# leaves composite rejects (q, n).
+# factorint scales its rho and p-1 effort to the limit too.  The budget
+# bounds steps, not time: each step costs more as m grows, and
+# `spectrum --q 2 --n 3001` runs past 75 s (ROADMAP item 9).  A cofactor
+# above the limit that it leaves composite rejects (q, n).
 FACTOR_LIMIT = 2**20
 
 
@@ -335,21 +336,6 @@ def lift_genus_tame(q, n, quot_genus, group_order, cm_order):
     ratio = m // cm_order
     extra = Fraction((q * q - 1) * (q + 1) * (ratio - 1), 2 * group_order)
     return _as_count(quot_genus + extra, "lifted genus")
-
-
-def n_orbits_tame(q, group_order, quot_genus):
-    """Orbit count on rational curve points forced by a tame quotient genus.
-
-    Obtained by equating the two lifting rules above: for a group of order
-    prime to the characteristic,
-
-        N * order = (q - 1)(q + 1)^2 - order * (2 g_quot - 2).
-    """
-    p, _ = prime_power(q)
-    if group_order % p == 0:
-        raise ValueError("orbit identity needs a group order prime to %d" % p)
-    total = (q - 1) * (q + 1) ** 2 - group_order * (2 * quot_genus - 2)
-    return _as_count(Fraction(total, group_order), "orbit count")
 
 
 def admissible_cm_orders(q, n, s):

@@ -447,7 +447,6 @@ class Subgroup:
         self.gens = list(gens)
         self.elements = elements
         self.order = len(elements)
-        self._orbits = None
 
     @classmethod
     def from_closure(cls, ctx, gens, maxsize=ML_CLOSURE_LIMIT):
@@ -468,9 +467,7 @@ class Subgroup:
         return out
 
     def orbit_counts(self):
-        if self._orbits is None:
-            self._orbits = self.ctx.orbit_counts(self.gens)
-        return self._orbits
+        return self.ctx.orbit_counts(self.gens)
 
     def n_orbits(self):
         n1, n2 = self.orbit_counts()
@@ -506,7 +503,6 @@ class DetPreimage(Subgroup):
         self.ctx = ctx
         self.gens = list(gens)
         self.elements = None
-        self._orbits = None
         d = self.det_image_order()
         self._dets = frozenset(t for t in ctx.mu if ctx.F.pow(t, d) == 1)
         self.order = len(ctx.s_ell) * d

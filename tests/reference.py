@@ -5,8 +5,9 @@ the code it checks and the package holds only what the pipeline runs:
 
 * point normalization and curve membership on projective triples;
 * the canonical subfield embedding between two finite fields;
-* the genus of K_n itself, the subfield genus bound and the rejected
-  orbit-count variants recorded in formulas.ERRATA;
+* the genus of K_n itself, the subfield genus bound, the orbit count a
+  tame quotient genus forces, and the rejected orbit-count variants
+  recorded in formulas.ERRATA;
 * M_ell elements acting on points one at a time, literal fixed-point
   counts, element types read from the eigenvectors of the chord block,
   random elements and subgroups, and the center Z and the torus;
@@ -124,6 +125,21 @@ def kn_genus(q, n):
 def genus_upper_bound(q, n):
     """Largest genus any subfield can have: the bound q'(q' - 1)/2 at q' = q^n."""
     return q**n * (q**n - 1) // 2
+
+
+def n_orbits_tame(q, group_order, quot_genus):
+    """Orbit count on rational curve points forced by a tame quotient genus.
+
+    Obtained by equating the two lifting rules: for a group of order prime
+    to the characteristic,
+
+        N * order = (q - 1)(q + 1)^2 - order * (2 g_quot - 2).
+    """
+    p, _ = prime_power(q)
+    if group_order % p == 0:
+        raise ValueError("orbit identity needs a group order prime to %d" % p)
+    total = (q - 1) * (q + 1) ** 2 - group_order * (2 * quot_genus - 2)
+    return _as_count(Fraction(total, group_order), "orbit count")
 
 
 def unitary_pm_orbit_count_rejected(q, k, w):

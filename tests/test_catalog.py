@@ -1,5 +1,7 @@
 """Tests for the subgroup family catalog of the chord stabilizer."""
 
+import dataclasses
+
 import pytest
 from sympy import divisors
 
@@ -326,16 +328,7 @@ def test_torus_cyclic_complements_diagonal():
         assert diag_orders >= {int(d) for d in divisors(q + 1)}
 
 
-@pytest.fixture
-def fresh_instantiate():
-    # the tests below change what instantiate builds, so no cached subgroup
-    # may leak into them or out of them
-    instantiate.cache_clear()
-    yield
-    instantiate.cache_clear()
-
-
-def test_instantiate_certifies_the_order(fresh_instantiate, monkeypatch):
+def test_instantiate_certifies_the_order(monkeypatch):
     # without its order-3 generator, SL(2,3) shrinks to the quaternion group Q8
     build = catalog._BUILDERS["sl2_three"]
     monkeypatch.setitem(catalog._BUILDERS, "sl2_three", lambda ctx: build(ctx)[:2])
@@ -344,7 +337,13 @@ def test_instantiate_certifies_the_order(fresh_instantiate, monkeypatch):
         instantiate(inst)
 
 
-def test_instantiate_certifies_the_involution_count(fresh_instantiate, monkeypatch):
+def test_instantiate_certifies_the_determinant_image():
+    inst = [i for i in _by_family(5, "sl2_three") if i.param_dict["w"] == 1][0]
+    with pytest.raises(RecipeError, match="determinant image"):
+        instantiate(dataclasses.replace(inst, det_rule=2 * inst.det_rule))
+
+
+def test_instantiate_certifies_the_involution_count(monkeypatch):
     monkeypatch.setitem(catalog._INVOLUTIONS, "sl2_three", 2)
     inst = [i for i in _by_family(5, "sl2_three") if i.param_dict["w"] == 1][0]
     with pytest.raises(RecipeError, match="involution"):
@@ -352,9 +351,7 @@ def test_instantiate_certifies_the_involution_count(fresh_instantiate, monkeypat
 
 
 @pytest.mark.parametrize("q", [9, 13, 16])
-def test_instantiate_closures_spend_about_one_compose_per_element(
-    q, fresh_instantiate, monkeypatch
-):
+def test_instantiate_closures_spend_about_one_compose_per_element(q, monkeypatch):
     # coset closure builds each new element with one product, while a
     # breadth-first closure spends about ten per element on these groups
     spent = {"composes": 0, "elements": 0}

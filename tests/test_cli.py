@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -268,3 +269,16 @@ def test_spectrum_refuses_a_closed_form_the_group_action_contradicts(
     report = json.loads(captured.err.splitlines()[-1])
     assert report["kind"] == "orbit-count"
     assert report["instance"] == "elementary_abelian[q=4,f=1,w=1]"
+
+
+@pytest.mark.parametrize("burnside, shown", [(Fraction(131, 2), "131/2"), (Fraction(2), 2)])
+def test_spectrum_reports_a_burnside_average_the_orbit_count_contradicts(
+    capsys, monkeypatch, cold_spectrum, burnside, shown
+):
+    # the report goes through json.dumps, so a Fraction is shown as an int
+    # when it is one and as a string otherwise
+    monkeypatch.setattr(engine, "_burnside_orbits", lambda sub: burnside)
+    assert main(["spectrum", "--q", "4", "--n", "3"]) == 1
+    report = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert report["kind"] == "tame-orbit-identity"
+    assert report["formula"] == shown and type(report["formula"]) is type(shown)

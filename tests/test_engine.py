@@ -1,6 +1,8 @@
 """Tests for the spectrum engine and its reporting layer."""
 
+import gc
 import json
+import weakref
 from math import gcd
 
 import pytest
@@ -94,6 +96,25 @@ def test_spectrum_deterministic_serialization():
     assert tree["schema"] == "gk2genus.spectrum/1"
     assert tree["genera"] == sorted(tree["genera"])
     assert cs.splitlines()[0] == "genus,witness"
+
+
+def test_no_subgroup_outlives_spectrum_or_verify_all(monkeypatch):
+    # instantiate caches nothing, and neither do its callers: every subgroup
+    # is built, used and dropped
+    refs = []
+    real = engine.instantiate
+
+    def tracked(inst):
+        sub = real(inst)
+        refs.append(weakref.ref(sub))
+        return sub
+
+    monkeypatch.setattr(engine, "instantiate", tracked)
+    spectrum.cache_clear()
+    spectrum(5, 3)
+    verify_all(5)
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
 
 
 def test_formula_mode_above_construction_bound():
