@@ -239,28 +239,28 @@ class FieldCtx:
         return np.array(self._exp, dtype=np.int64), np.array(self._log, dtype=np.int64)
 
     def np_mul_table(self):
-        """card x card int32 table of products, by code."""
+        """card x card uint16 table of products, by code; tabled codes are below 1024."""
         if self.card > _NP_TABLE_LIMIT:
             raise ValueError("field too large for dense tables")
         exp, log = self._np_logs()
         nz = log[1:]
-        tab = np.zeros((self.card, self.card), dtype=np.int32)
+        tab = np.zeros((self.card, self.card), dtype=np.uint16)
         tab[1:, 1:] = exp[(nz[:, None] + nz[None, :]) % self._n]
         return tab
 
     def np_add_table(self):
-        """card x card int32 table of sums, by code."""
+        """card x card uint16 table of sums, by code; tabled codes are below 1024."""
         if self.card > _NP_TABLE_LIMIT:
             raise ValueError("field too large for dense tables")
-        codes = np.arange(self.card, dtype=np.int64)
+        codes = np.arange(self.card, dtype=np.uint16)
         if self.p == 2:
-            return (codes[:, None] ^ codes[None, :]).astype(np.int32)
+            return codes[:, None] ^ codes[None, :]
         n = self._n
         exp, log = self._np_logs()
         zech = np.array([-1 if z is None else z for z in self._zech], dtype=np.int64)
         la = log[1:, None]
         z = zech[(log[None, 1:] - la) % n]
-        tab = np.empty((self.card, self.card), dtype=np.int32)
+        tab = np.empty((self.card, self.card), dtype=np.uint16)
         tab[0, :] = codes
         tab[:, 0] = codes
         tab[1:, 1:] = np.where(z < 0, 0, exp[(la + z) % n])

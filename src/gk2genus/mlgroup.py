@@ -13,7 +13,12 @@ the standard subgroup inventory (center Z, commutator S_ell with its standard
 SL(2, q) generators, the two-point-stabilizer torus generator and the chord
 swap involution), the element type table, orbit counting on curve points, the
 element census and the tame quotient genus; the tables, the frame, the
-inventory and the type table are complete at construction.  An element's type
+inventory and the type table are complete at construction.  The GF(q^2)
+product and sum tables are built once, as flat array("H") tables mul_flat and
+add_flat indexed a * card + b: compose, inverse and classify look up each
+field product and sum there, with no FieldCtx call, and MUL and ADD are
+read-only card x card uint16 numpy views of the same two buffers for the
+vectorized point work, so the context keeps one copy of each.  An element's type
 is its fixed-point geometry, a function of the eigenvalues of the chord block
 B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
 (trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
@@ -31,6 +36,7 @@ for, and the inventory is built that way.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -93,6 +99,13 @@ def _cycle_minima(perm):
         m, perm = lower, perm[perm]
 
 
+def _read_only_square(flat, card):
+    """A read-only card x card uint16 numpy view of a flat array("H") table."""
+    view = np.frombuffer(flat, dtype=np.uint16).reshape(card, card)
+    view.flags.writeable = False
+    return view
+
+
 def mat_mul(F, A, B):
     """Product of two 2x2 matrices of field codes."""
     return tuple(
@@ -142,8 +155,11 @@ class MlContext:
         # S_ell = the determinant-1 part, isomorphic to SL(2,q): (a, c, 1) with
         # a^(q+1) - c^(q+1) = 1, which are exactly the affine curve points (x, y, 1)
         self.s_ell = self.pts.points[self.pts.chord_count:]
-        self.MUL = F.np_mul_table()
-        self.ADD = F.np_add_table()
+        self.mul_flat = array("H", F.np_mul_table().tobytes())
+        self.add_flat = array("H", F.np_add_table().tobytes())
+        self.MUL = _read_only_square(self.mul_flat, F.card)
+        self.ADD = _read_only_square(self.add_flat, F.card)
+        self.minus_one = F.neg(1)
         self.INV = F.np_pow_vec(-1)
         self.X, self.Y, self.Z = self.pts.np_coords()
         self._cycle_heads = {}
@@ -155,20 +171,21 @@ class MlContext:
     def compose(self, g1, g2):
         a1, c1, t1 = g1
         a2, c2, t2 = g2
-        F = self.F
-        u = F.mul(t1, self.frobq[c1])
-        v = F.mul(t1, self.frobq[a1])
+        n, mul, frobq = self.card, self.mul_flat, self.frobq
+        t = t1 * n
+        u = mul[t + frobq[c1]] * n  # row of u = t1 c1^q
+        v = mul[t + frobq[a1]] * n  # row of v = t1 a1^q
         return (
-            F.add(F.mul(a1, a2), F.mul(u, c2)),
-            F.add(F.mul(c1, a2), F.mul(v, c2)),
-            F.mul(t1, t2),
+            self.add_flat[mul[a1 * n + a2] * n + mul[u + c2]],
+            self.add_flat[mul[c1 * n + a2] * n + mul[v + c2]],
+            mul[t + t2],
         )
 
     def inverse(self, g):
         a, c, t = g
-        F = self.F
+        n, mul = self.card, self.mul_flat
         tq = self.frobq[t]  # t^q = t^(-1) on mu_(q+1)
-        return (self.frobq[a], F.neg(F.mul(c, tq)), tq)
+        return (self.frobq[a], mul[c * n + mul[self.minus_one * n + tq]], tq)
 
     def is_element(self, g):
         a, c, t = g
@@ -217,9 +234,9 @@ class MlContext:
 
     def _image_coords(self, g):
         a, c, t = g
-        F = self.F
-        u = F.mul(t, self.frobq[c])
-        v = F.mul(t, self.frobq[a])
+        row = t * self.card
+        u = self.mul_flat[row + self.frobq[c]]
+        v = self.mul_flat[row + self.frobq[a]]
         MUL, ADD = self.MUL, self.ADD
         Xi = ADD[MUL[a, self.X], MUL[u, self.Y]]
         Yi = ADD[MUL[c, self.X], MUL[v, self.Y]]
@@ -291,9 +308,8 @@ class MlContext:
         if g == self.identity:
             raise ValueError("identity has no type")
         a, c, t = g
-        F = self.F
-        v = F.mul(t, self.frobq[a])
-        return self._types[F.add(a, v), t, c == 0 and a == v]
+        v = self.mul_flat[t * self.card + self.frobq[a]]
+        return self._types[self.add_flat[a * self.card + v], t, c == 0 and a == v]
 
     def _build_type_table(self):
         """The type of every (tr B, det B, B scalar) key of M_ell; run once, by __init__.

@@ -8,8 +8,8 @@ the code it checks and the package holds only what the pipeline runs:
 * the genus of K_n itself, the subfield genus bound, the orbit count a
   tame quotient genus forces, and the rejected orbit-count variants
   recorded in formulas.ERRATA;
-* M_ell elements acting on points one at a time, literal fixed-point
-  counts, element types read from the eigenvectors of the chord block,
+* the M_ell product and the type lookup by scalar field calls, M_ell
+  elements acting on points one at a time, literal fixed-point counts, element types read from the eigenvectors of the chord block,
   random elements and subgroups, and the center Z and the torus;
 * the tower group Aut(K_n) with elements (a, c, k), where k is the exponent
   of xi = zeta^k in mu_(q^n+1) over a fixed generator zeta with zeta^m = eps
@@ -171,6 +171,28 @@ def sl2_two_orbit_count_rejected(q, w):
 
 
 # -- M_ell one element and one point at a time -------------------------------------
+
+
+def compose_by_field(ctx, g1, g2):
+    """The product g1 g2 of two elements, by FieldCtx.mul and add calls."""
+    a1, c1, t1 = g1
+    a2, c2, t2 = g2
+    F = ctx.F
+    u = F.mul(t1, ctx.frobq[c1])
+    v = F.mul(t1, ctx.frobq[a1])
+    return (
+        F.add(F.mul(a1, a2), F.mul(u, c2)),
+        F.add(F.mul(c1, a2), F.mul(v, c2)),
+        F.mul(t1, t2),
+    )
+
+
+def classify_by_field(ctx, g):
+    """The type table entry of a nonidentity element, its key read by field calls."""
+    a, c, t = g
+    F = ctx.F
+    v = F.mul(t, ctx.frobq[a])
+    return ctx._types[F.add(a, v), t, c == 0 and a == v]
 
 
 def apply(ctx, g, pt):

@@ -202,7 +202,7 @@ def test_tabled_addition_matches_coefficients_on_every_pair(p, k):
     F = make_field(p, k)
     codes = range(F.card)
     table = F.np_add_table()
-    assert table.shape == (F.card, F.card)
+    assert table.shape == (F.card, F.card) and table.dtype == numpy.uint16
     for a in codes:
         sums = [_digitwise(F, a, b) for b in codes]
         assert [F.add(a, b) for b in codes] == sums
@@ -242,6 +242,7 @@ def test_dense_tables_match_scalar_ops(p, k):
     F = make_field(p, k)
     codes = range(F.card)
     mul = F.np_mul_table()
+    assert mul.shape == (F.card, F.card) and mul.dtype == numpy.uint16
     for a in codes:
         assert mul[a].tolist() == [F.mul(a, b) for b in codes]
     for e in (-1, 0, 2, 5):

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gk2genus.engine import _burnside_orbits
@@ -14,6 +15,8 @@ from gk2genus.mlgroup import DetPreimage, MlContext, Subgroup, closure, ml_conte
 from reference import (
     apply,
     classify_block,
+    classify_by_field,
+    compose_by_field,
     count_fixed_brute,
     embed_codes,
     group_from_triple,
@@ -27,10 +30,13 @@ from reference import (
     z_intersection_order,
 )
 
+PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
 
 def test_group_axioms_random():
     rng = random.Random(5)
-    for q in (3, 4, 5):
+    # p = 2 adds by XOR, p = 3 by Zech logs; q = 32 has the largest tables
+    for q in (2, 3, 4, 5, 9, 25, 27, 32):
         ctx = ml_context(q)
         els = [random_element(ctx, rng) for _ in range(30)]
         for g in els:
@@ -44,6 +50,40 @@ def test_group_axioms_random():
             right = ctx.compose(g1, ctx.compose(g2, g3))
             assert left == right
             assert ctx.is_element(ctx.compose(g1, g2))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_tabled_product_and_type_lookup_match_the_field_calls(q):
+    ctx = ml_context(q)
+    rng = random.Random(q)
+    # every element with a = 0 or c = 0, at a random determinant
+    axes = [(a, c, rng.choice(ctx.mu)) for a, c, _ in ctx.s_ell if a == 0 or c == 0]
+    assert len(axes) == 2 * (q + 1)
+    els = [ctx.identity] + axes + [random_element(ctx, rng) for _ in range(40)]
+    for g in els:
+        h = ctx.inverse(g)
+        assert ctx.is_element(h)
+        assert compose_by_field(ctx, g, h) == compose_by_field(ctx, h, g) == ctx.identity
+        assert ctx.compose(g, h) == ctx.compose(h, g) == ctx.identity
+        assert ctx.compose(g, ctx.identity) == ctx.compose(ctx.identity, g) == g
+        if g != ctx.identity:
+            assert ctx.classify(g) == classify_by_field(ctx, g)
+    for _ in range(300):
+        g1, g2 = rng.choice(els), rng.choice(els)
+        assert ctx.compose(g1, g2) == compose_by_field(ctx, g1, g2)
+
+
+@pytest.mark.parametrize("q", [2, 9, 32])
+def test_dense_tables_are_read_only_two_byte_views_of_the_flat_tables(q):
+    ctx = ml_context(q)
+    for view, flat in ((ctx.MUL, ctx.mul_flat), (ctx.ADD, ctx.add_flat)):
+        assert view.dtype == np.uint16
+        assert view.shape == (ctx.card, ctx.card)
+        assert np.shares_memory(view, flat)
+        assert view.ravel().tolist() == flat.tolist()
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[1, 1] = 0
 
 
 def test_element_count_and_det():
@@ -121,9 +161,6 @@ def test_s_ell_generators_generate():
         ctx = ml_context(q)
         cl = closure(ctx.s_ell_gens, ctx.compose, ctx.identity)
         assert cl == set(ctx.s_ell)
-
-
-PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
