@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import formulas
 from .formulas import divisors
@@ -74,36 +74,34 @@ class FamilyInstance:
 
 def _formula_value(inst):
     q, P = inst.q, inst.param_dict
-    fam = inst.family
-    if fam == "elementary_abelian":
-        return formulas.elementary_abelian_quotient(q, P["f"], P["w"])
-    if fam == "sl2_two":
-        return formulas.sl2_two_quotient(q, P["w"])
-    if fam == "sl2_subfield":
+    fam, w = inst.family, P.get("w", 1)
+    args = _recipe_params(inst)
+    if fam in _ELATION_RECIPE:
+        f, d = _ELATION_RECIPE[fam](*args)
+        return formulas.point_stabilizer_quotient(q, d * w, f)
+    if fam in _SL2_RECIPE:
+        k = _SL2_RECIPE[fam](*args)
         if q % 2 == 0:
-            return formulas.sl2_subfield_quotient_even(q, P["k"], P["w"])
-        return formulas.sl2_subfield_quotient(q, P["k"], P["w"])
+            return formulas.sl2_subfield_quotient_even(q, k, w)
+        return formulas.sl2_subfield_quotient(q, k, w)
     if fam == "dihedral" and q % 2 == 0:
-        return formulas.dihedral_quotient_even(q, P["t"], P["w"])
-    if fam == "alt5":
-        return formulas.alt5_quotient_even(q, P["w"])
-    if fam == "alt4":
-        return formulas.alt4_quotient_even(q, P["w"])
-    if fam == "elation_semidirect":
-        return formulas.elation_semidirect_quotient(q, P["f"], P["d"], P["w"])
+        return formulas.dihedral_quotient_even(q, P["t"], w)
     if fam == "triangle":
-        return formulas.triangle_quotient_even(q, P["t"], P["w"])
+        return formulas.triangle_quotient_even(q, P["t"], w)
     if fam == "sl2_five" and q % 3 == 0:
-        return formulas.sl2_five_quotient_char3(q, P["w"])
+        return formulas.sl2_five_quotient_char3(q, w)
     if fam == "sl2_split_ext":
-        return formulas.sl2_split_ext_quotient(q, P["k"], P["w"])
+        return formulas.sl2_split_ext_quotient(q, P["k"], w)
     if fam == "unitary_pm":
-        return formulas.unitary_pm_quotient(q, P["k"], P["w"])
-    if fam == "point_stabilizer":
-        return formulas.point_stabilizer_quotient(q, P["mu"], P["u"])
+        return formulas.unitary_pm_quotient(q, P["k"], w)
     if fam == "torus_cyclic":
         return formulas.point_stabilizer_quotient(q, P["e"], 0)
     return None
+
+
+def _recipe_params(inst):
+    """The instance's parameters other than w, in label order: its builder's arguments."""
+    return [v for k, v in inst.params if k != "w"]
 
 
 # -- shared building blocks -----------------------------------------------------
@@ -176,21 +174,21 @@ def _a1_triples(n):
 # -- standard matrix generators -------------------------------------------------
 
 
-def _quaternion_iota(ctx):
+def _quaternion_units(ctx):
+    """iota = sqrt(-1) in GF(q), 1/2, and the quaternion generators i and j."""
     F, q = ctx.F, ctx.q
     iot = F.pow(F.gen_code, (q * q - 1) // 4)
     if F.mul(iot, iot) != F.neg(1) or ctx.frobq[iot] != iot:
         raise RecipeError("no square root of -1 in the q-subfield")
-    return iot
+    i_mat = ((iot, 0), (0, F.neg(iot)))
+    j_mat = ((0, 1), (F.neg(1), 0))
+    return iot, F.inv(F.add(1, 1)), i_mat, j_mat
 
 
 def _sl2_three_matrices(ctx):
     """Quaternion generators i, j and an order-3 unit for SL(2,3)."""
     F = ctx.F
-    iot = _quaternion_iota(ctx)
-    half = F.inv(F.add(1, 1))
-    i_mat = ((iot, 0), (0, F.neg(iot)))
-    j_mat = ((0, 1), (F.neg(1), 0))
+    iot, half, i_mat, j_mat = _quaternion_units(ctx)
     om = F.mul(half, F.sub(iot, 1))
     op = F.mul(half, F.add(iot, 1))
     theta = ((om, om), (op, F.neg(op)))
@@ -209,12 +207,16 @@ def _sl2_three_matrices(ctx):
 # Every generator is written down in closed form, mostly as a frame matrix
 # whose entries are powers of the field generator; no builder searches group
 # elements or field codes.
-# The SL(2, p^k) families (sl2_two, sl2_subfield, alt5 = SL(2, 4)) take the
-# standard generators from MlContext.sl2_gens; at k = h those are S_ell's
-# own, so instantiate keeps that group as a determinant preimage.  The elation
-# families (elementary_abelian, alt4, elation_semidirect, point_stabilizer)
-# all build through _make_elation_semidirect; the dihedral families take the
-# chord swap MlContext.swap, and the dicyclic ones the Weyl element.
+# Families that share a recipe are listed in _ELATION_RECIPE and _SL2_RECIPE,
+# which _BUILDERS and _formula_value both read, so each recipe has one builder
+# and one closed form.  The SL(2, p^k) families (sl2_two = SL(2, 2),
+# alt5 = SL(2, 4), sl2_subfield) take the standard generators from
+# MlContext.sl2_gens; at k = h those are S_ell's own, so instantiate keeps
+# that group as a determinant preimage.  The elation families
+# (elementary_abelian, alt4 = E_4 by C_3, elation_semidirect,
+# point_stabilizer) all build through _make_elation_semidirect; the dihedral
+# families take the chord swap MlContext.swap, and the dicyclic ones the Weyl
+# element.
 
 
 def _make_dihedral(ctx, order):
@@ -295,15 +297,12 @@ def _make_sl2_five(ctx):
     if ctx.p != 3:
         raise RecipeError("tame icosahedral subgroups exceed the explicit range")
     F = ctx.F
-    iot = _quaternion_iota(ctx)
-    half = F.inv(F.add(1, 1))
+    iot, half, i_mat, j_mat = _quaternion_units(ctx)
     # z + 1/z = (-1 +- sqrt 5)/2 for z of order 5, and lies in GF(q) since z^q = z^(+-1)
     z = F.pow(F.gen_code, (ctx.q * ctx.q - 1) // 5)
     r5 = F.add(F.mul(F.add(1, 1), F.add(z, F.inv(z))), 1)
     phi = F.mul(half, F.add(1, r5))
     phi_inv = F.inv(phi)
-    i_mat = ((iot, 0), (0, F.neg(iot)))
-    j_mat = ((0, 1), (F.neg(1), 0))
     u_mat = (
         (F.mul(half, F.add(phi_inv, F.mul(phi, iot))), half),
         (F.neg(half), F.mul(half, F.sub(phi_inv, F.mul(phi, iot)))),
@@ -341,19 +340,26 @@ def _make_unitary_pm(ctx, k):
     return list(ctx.s_ell_gens) + [ctx.beta]
 
 
+# Each family's recipe arguments from its parameters other than w: (f, d) of
+# the order-p^f elation group extended by a torus C_d, and k of SL(2, p^k).
+_ELATION_RECIPE = {
+    "elementary_abelian": lambda f: (f, 1),
+    "elation_semidirect": lambda f, d: (f, d),
+    "alt4": lambda: (2, 3),
+    "point_stabilizer": lambda mu, u: (u, mu),
+}
+_SL2_RECIPE = {"sl2_two": lambda: 1, "alt5": lambda: 2, "sl2_subfield": lambda k: k}
+
 _BUILDERS = {
-    "elementary_abelian": _make_elation_semidirect,
-    "sl2_two": lambda ctx: ctx.sl2_gens(1),
-    "sl2_subfield": lambda ctx, k: ctx.sl2_gens(k),
+    **{fam: lambda ctx, *params, rec=rec: _make_elation_semidirect(ctx, *rec(*params))
+       for fam, rec in _ELATION_RECIPE.items()},
+    **{fam: lambda ctx, *params, rec=rec: ctx.sl2_gens(rec(*params))
+       for fam, rec in _SL2_RECIPE.items()},
     "dihedral": _make_dihedral,
-    "alt5": lambda ctx: ctx.sl2_gens(2),
-    "alt4": partial(_make_elation_semidirect, f=2, d=3),
-    "elation_semidirect": _make_elation_semidirect,
     "triangle": _make_triangle_even,
     "torus_cyclic": _make_torus_cyclic,
     "diagonal": _make_diagonal,
     "triangle_swap": _make_triangle_swap,
-    "point_stabilizer": lambda ctx, mu, u: _make_elation_semidirect(ctx, f=u, d=mu),
     "sl2_three": _make_sl2_three,
     "binary_octahedral": _make_sl2_three_ext,
     "gl2_three": _make_sl2_three_ext,
@@ -531,7 +537,7 @@ def instantiate(inst):
         )
     ctx = ml_context(inst.q)
     w = inst.param_dict.get("w", 1)
-    gens = _BUILDERS[inst.family](ctx, *(v for k, v in inst.params if k != "w"))
+    gens = _BUILDERS[inst.family](ctx, *_recipe_params(inst))
     if w > 1:
         gens.append(_center_gen(ctx, w))
     if set(ctx.s_ell_gens) <= set(gens):

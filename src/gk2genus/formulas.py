@@ -395,6 +395,13 @@ def divisors_of_m(q, n):
 # ---------------------------------------------------------------------------
 # Families for even q.  Throughout, w is the order of the intersection with
 # the central cyclic subgroup of order q + 1 acting trivially on the chord.
+#
+# One closed form serves each recipe the catalog builds with, not each family
+# name.  The elation families (elementary_abelian, elation_semidirect, and
+# alt4 = E_4 extended by C_3) take point_stabilizer_quotient below, valid in
+# every characteristic, with mu = d w and u = f.  The subfield families
+# sl2_two (SL(2, 2) = S_3), alt5 (SL(2, 4) = A_5) and sl2_subfield take
+# sl2_subfield_quotient_even with f = 1, 2 and k.
 # ---------------------------------------------------------------------------
 
 
@@ -406,44 +413,11 @@ def _even_qhw(q, w):
     return h
 
 
-def elementary_abelian_quotient(q, f, w):
-    """Product of an elementary abelian group of order 2^f with the central C_w."""
-    h = _even_qhw(q, w)
-    if not 1 <= f <= h:
-        raise ValueError("f must satisfy 1 <= f <= %d, got %r" % (h, f))
-    pf = 2**f
-    g = Fraction((q + 1) * (q - w - pf) + w * (pf + 1), 2 * pf * w)
-    n1 = Fraction(q, pf) + 1
-    n2 = Fraction(q * (q * q - 1), pf * w)
-    return _as_count(g, "genus"), _as_count(n1 + n2, "orbit count")
-
-
-def sl2_two_quotient(q, w):
-    """Product of a symmetric group on three letters with the central C_w."""
-    h = _even_qhw(q, w)
-    if h % 2 == 0:
-        # Order-3 elements split over the base field, and 3 divides q - 1,
-        # so 3 cannot divide w.
-        g = Fraction(q * q - w * q - 3 * q + 4 * w - 4, 12 * w)
-        n = Fraction(q + 8, 6) + Fraction(q * (q - 1) * (q + 1), 6 * w)
-    elif w % 3 != 0:
-        g = Fraction((q + 1) * (q - w - 4) + 9 * w, 12 * w)
-        n = Fraction(q + 4, 6) + Fraction(q**3 - q, 6 * w)
-    else:
-        g = Fraction((q + 1) * (q - w - 8) + 9 * w, 12 * w)
-        n = (
-            Fraction(q + 4, 6)
-            + Fraction((q + 1) * (q * q - q - 2), 6 * w)
-            + Fraction(q + 1, w)
-        )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
 def sl2_subfield_quotient_even(q, f, w):
     """Product of a subfield SL(2, 2^f) with the central C_w, for f dividing h."""
     h = _even_qhw(q, w)
-    if f <= 1 or h % f != 0:
-        raise ValueError("f must be a divisor of %d larger than 1, got %r" % (h, f))
+    if f < 1 or h % f != 0:
+        raise ValueError("f must be a positive divisor of %d, got %r" % (h, f))
     pf = 2**f
     if (h // f) % 2 == 1:
         a = gcd(pf + 1, w)
@@ -474,54 +448,6 @@ def dihedral_quotient_even(q, t, w):
     _check_divisor(t, q - 1, "t")
     g = Fraction(q * q - q * w - q * t + w * t + w - t - 1, 4 * t * w)
     n = Fraction(q - 1 + 3 * t, 2 * t) + Fraction(q * (q - 1) * (q + 1), 2 * t * w)
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def alt5_quotient_even(q, w):
-    """Product of an alternating group on five letters with C_w, h even."""
-    h = _even_qhw(q, w)
-    if h % 2 != 0:
-        raise ValueError("this family needs h even, got q=%d" % q)
-    if (q - 1) % 5 == 0:
-        delta = w
-    elif w % 5 == 0:
-        delta = q + 1
-    else:
-        delta = 0
-    g = Fraction((q + 1) * (q - w - 16) + 65 * w - 48 * delta, 120 * w)
-    if (q - 1) % 5 == 0:
-        n = 2 + Fraction(q - 16, 60) + Fraction(q * (q - 1) * (q + 1), 60 * w)
-    elif w % 5 != 0:
-        n = 1 + Fraction(q - 4, 60) + Fraction(q * (q - 1) * (q + 1), 60 * w)
-    else:
-        n = 1 + Fraction(q - 4, 60) + Fraction(q + 1, w) * (Fraction(q * q - q - 12, 60) + 1)
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def alt4_quotient_even(q, w):
-    """Product of an alternating group on four letters with C_w, h even."""
-    h = _even_qhw(q, w)
-    if h % 2 != 0:
-        raise ValueError("this family needs h even, got q=%d" % q)
-    g = Fraction(q * q - q * w + 4 * w - 3 * q - 4, 24 * w)
-    n = Fraction(q + 20, 12) + Fraction(q * (q - 1) * (q + 1), 12 * w)
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def elation_semidirect_quotient(q, f, d, w):
-    """Product of E_{2^f} extended by a cyclic C_d with the central C_w.
-
-    The cyclic factor has order d dividing gcd(2^f - 1, q - 1) and acts
-    on the elation group without nontrivial fixed vectors.
-    """
-    h = _even_qhw(q, w)
-    if not 1 <= f <= h:
-        raise ValueError("f must satisfy 1 <= f <= %d, got %r" % (h, f))
-    pf = 2**f
-    if d <= 1 or gcd(pf - 1, q - 1) % d != 0:
-        raise ValueError("d must divide gcd(2^f - 1, q - 1) and exceed 1, got %r" % (d,))
-    g = Fraction((q + 1) * (q - w - pf) + w * (pf + 1), 2 * pf * d * w)
-    n = Fraction(q - pf, pf * d) + 2 + Fraction(q * (q * q - 1), pf * d * w)
     return _as_count(g, "genus"), _as_count(n, "orbit count")
 
 
@@ -706,7 +632,7 @@ def point_stabilizer_quotient(q, mu, u):
 # (q and the instance parameters) where the variants disagree.
 ERRATA = {
     "sl2_two_orbit_count": {
-        "family": "sl2_two_quotient, branch h odd with 3 | w",
+        "family": "sl2_subfield_quotient_even at f = 1, branch h/f odd with 3 | w",
         "catalog_family": "sl2_two",
         "adopted": "middle orbit term (q + 1)(q^2 - q - 2) / (6 w)",
         "rejected": "middle orbit term (q + 1)(q^2 - q - 2) / w",

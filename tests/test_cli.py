@@ -255,13 +255,14 @@ def cold_spectrum():
 def test_spectrum_refuses_a_closed_form_the_group_action_contradicts(
     capsys, monkeypatch, cold_spectrum
 ):
-    closed_form = formulas.elementary_abelian_quotient
+    # the closed form of every elation family, elementary_abelian among them
+    closed_form = formulas.point_stabilizer_quotient
 
-    def one_orbit_too_many(q, f, w):
-        genus, orbits = closed_form(q, f, w)
+    def one_orbit_too_many(q, mu, u):
+        genus, orbits = closed_form(q, mu, u)
         return genus, orbits + 1
 
-    monkeypatch.setattr(formulas, "elementary_abelian_quotient", one_orbit_too_many)
+    monkeypatch.setattr(formulas, "point_stabilizer_quotient", one_orbit_too_many)
     assert main(["spectrum", "--q", "4", "--n", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,10 +5,11 @@ from math import gcd, isqrt
 
 import pytest
 from sympy import divisors as sympy_divisors
-from sympy import isprime, n_order
+from sympy import factorint, isprime, n_order
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from gk2genus import formulas as fm
+from gk2genus.catalog import enumerate_instances
 from reference import (
     genus_upper_bound,
     kn_genus,
@@ -21,6 +22,18 @@ from reference import (
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def closed_form(family, q, **params):
+    """genus_orbits() of the one catalog instance with these parameters."""
+    (inst,) = [inst for inst in enumerate_instances(q)
+               if inst.family == family and inst.param_dict == params]
+    return inst.genus_orbits()
+
+
+def has_instance(family, q, **params):
+    return any(inst.family == family and inst.param_dict == params
+               for inst in enumerate_instances(q))
 
 
 def test_prime_power_and_basic_invariants():
@@ -51,7 +64,7 @@ def test_total_field_genus():
 def test_lift_genus_known_chains():
     # Elementary abelian pair of order 2 at q = 4 lifts to 72 through the
     # kernel subgroup of order 41.
-    g_quot, n_orb = fm.elementary_abelian_quotient(4, 1, 1)
+    g_quot, n_orb = closed_form("elementary_abelian", 4, f=1, w=1)
     assert (g_quot, n_orb) == (2, 33)
     assert fm.lift_genus(4, 5, g_quot, n_orb, 41) == 72
     # A tame group of order 5 with quotient genus 2 lifts to 1532, and the
@@ -173,27 +186,28 @@ def test_divisors_of_m_match_sympy_on_the_pinned_rows():
 
 
 def test_elementary_abelian_quotient_values():
-    assert fm.elementary_abelian_quotient(4, 1, 1) == (2, 33)
-    assert fm.elementary_abelian_quotient(4, 2, 1) == (0, 17)
-    assert fm.elementary_abelian_quotient(4, 1, 5) == (0, 9)
+    assert closed_form("elementary_abelian", 4, f=1, w=1) == (2, 33)
+    assert closed_form("elementary_abelian", 4, f=2, w=1) == (0, 17)
+    assert closed_form("elementary_abelian", 4, f=1, w=5) == (0, 9)
+    # no elation group of order 2^f > q, and no central order w outside q + 1
+    assert not has_instance("elementary_abelian", 4, f=3, w=1)
+    assert not has_instance("elementary_abelian", 4, f=1, w=3)
     with pytest.raises(ValueError):
-        fm.elementary_abelian_quotient(4, 3, 1)
-    with pytest.raises(ValueError):
-        fm.elementary_abelian_quotient(4, 1, 3)
+        fm.point_stabilizer_quotient(4, 1, 3)
 
 
 def test_sl2_two_quotient_values():
-    assert fm.sl2_two_quotient(4, 1) == (0, 12)
-    assert fm.sl2_two_quotient(4, 5) == (0, 4)
-    assert fm.sl2_two_quotient(8, 1) == (3, 86)
-    assert fm.sl2_two_quotient(8, 3) == (0, 32)
-    assert fm.sl2_two_quotient(8, 9) == (0, 12)
+    assert closed_form("sl2_two", 4, w=1) == (0, 12)
+    assert closed_form("sl2_two", 4, w=5) == (0, 4)
+    assert closed_form("sl2_two", 8, w=1) == (3, 86)
+    assert closed_form("sl2_two", 8, w=3) == (0, 32)
+    assert closed_form("sl2_two", 8, w=9) == (0, 12)
 
 
 def test_sl2_two_rejected_variant_disagrees():
     info = fm.ERRATA["sl2_two_orbit_count"]
     q, w = info["witness"]["q"], info["witness"]["w"]
-    _, adopted = fm.sl2_two_quotient(q, w)
+    _, adopted = fm.sl2_subfield_quotient_even(q, 1, w)
     rejected = sl2_two_orbit_count_rejected(q, w)
     assert adopted == info["witness"]["adopted_n"]
     assert rejected == info["witness"]["rejected_n"]
@@ -213,23 +227,25 @@ def test_dihedral_quotient_even_values():
     # t = 1 degenerates to the elementary abelian family with f = 1.
     for q in [4, 8, 16]:
         for w in divisors(q + 1):
-            assert fm.dihedral_quotient_even(q, 1, w) == fm.elementary_abelian_quotient(
-                q, 1, w
+            assert fm.dihedral_quotient_even(q, 1, w) == closed_form(
+                "elementary_abelian", q, f=1, w=w
             )
 
 
 def test_alt5_matches_subfield_family():
+    # alt5 is SL(2, 4): the subfield family at k = 2
     for q in [4, 16, 64, 256]:
         for w in divisors(q + 1):
-            assert fm.alt5_quotient_even(q, w) == fm.sl2_subfield_quotient_even(q, 2, w)
+            assert closed_form("alt5", q, w=w) == fm.sl2_subfield_quotient_even(q, 2, w)
 
 
 def test_alt4_matches_elation_semidirect():
-    assert fm.alt4_quotient_even(4, 1) == (0, 7)
+    # alt4 is E_4 extended by C_3
+    assert closed_form("alt4", 4, w=1) == (0, 7)
     for q in [4, 16, 64]:
         for w in divisors(q + 1):
-            assert fm.alt4_quotient_even(q, w) == fm.elation_semidirect_quotient(
-                q, 2, 3, w
+            assert closed_form("alt4", q, w=w) == closed_form(
+                "elation_semidirect", q, f=2, d=3, w=w
             )
 
 
@@ -240,12 +256,14 @@ def test_point_stabilizer_subsumes_even_families():
         _, h = fm.prime_power(q)
         for w in divisors(q + 1):
             for f in range(1, h + 1):
-                assert fm.point_stabilizer_quotient(q, w, f) == fm.elementary_abelian_quotient(q, f, w)
+                assert fm.point_stabilizer_quotient(q, w, f) == closed_form(
+                    "elementary_abelian", q, f=f, w=w
+                )
                 for d in divisors(gcd(2**f - 1, q - 1)):
                     if d > 1:
-                        assert fm.point_stabilizer_quotient(
-                            q, d * w, f
-                        ) == fm.elation_semidirect_quotient(q, f, d, w)
+                        assert fm.point_stabilizer_quotient(q, d * w, f) == closed_form(
+                            "elation_semidirect", q, f=f, d=d, w=w
+                        )
 
 
 def test_point_stabilizer_quotient_values():
@@ -314,8 +332,8 @@ def test_triangle_quotient_even_values():
     # the swap involution is an elation when the characteristic is two.
     for q in [4, 8, 16]:
         for w in divisors(q + 1):
-            assert fm.triangle_quotient_even(q, 1, w) == fm.elementary_abelian_quotient(
-                q, 1, w
+            assert fm.triangle_quotient_even(q, 1, w) == closed_form(
+                "elementary_abelian", q, f=1, w=w
             )
     g, n = fm.triangle_quotient_even(4, 5, 5)
     assert g == 0 and n == 3
@@ -323,11 +341,13 @@ def test_triangle_quotient_even_values():
 
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
-        fm.sl2_two_quotient(5, 1)
+        fm.sl2_subfield_quotient_even(5, 1, 1)
     with pytest.raises(ValueError):
         fm.sl2_subfield_quotient_even(8, 2, 1)
     with pytest.raises(ValueError):
-        fm.elation_semidirect_quotient(4, 2, 5, 1)
+        fm.sl2_subfield_quotient_even(4, 0, 1)
+    # C_5 does not normalize an elation group of order 4 at q = 4
+    assert not has_instance("elation_semidirect", 4, f=2, d=5, w=1)
     with pytest.raises(ValueError):
         fm.sl2_subfield_quotient(13, 2, 1)
     with pytest.raises(ValueError):
@@ -338,24 +358,37 @@ def test_family_parameter_validation():
         fm.unitary_pm_quotient(8, 3, 1)
 
 
-def test_every_even_family_is_integral_in_range():
-    # Exhaustive integrality sweep over the advertised parameter ranges.
-    for q in [4, 8, 16, 32, 64]:
-        _, h = fm.prime_power(q)
-        for w in divisors(q + 1):
-            for f in range(1, h + 1):
-                fm.elementary_abelian_quotient(q, f, w)
-                for d in divisors(fm.gcd(2**f - 1, q - 1)):
-                    if d > 1:
-                        fm.elation_semidirect_quotient(q, f, d, w)
-            fm.sl2_two_quotient(q, w)
-            for f in divisors(h):
-                if f > 1:
-                    fm.sl2_subfield_quotient_even(q, f, w)
-            for t in divisors(q - 1):
-                fm.dihedral_quotient_even(q, t, w)
-            for t in divisors(q + 1):
-                fm.triangle_quotient_even(q, t, w)
+# q = 1 (mod 4) prime powers below this bound join the closed-form sweep.
+SWEEP_ODD_BOUND = 2000
+
+
+def test_every_even_family_is_integral_in_range(monkeypatch):
+    # Every wild catalog instance at every even q up to 2^20, and at the
+    # q = 1 (mod 4) prime powers below SWEEP_ODD_BOUND, has an integral closed
+    # form; and between them they call every public closed form in formulas,
+    # so none is left unreachable and no family loses its dispatch.
+    called = set()
+
+    def recording(name, form):
+        def wrapper(*args):
+            called.add(name)
+            return form(*args)
+        return wrapper
+
+    forms = {name for name, fn in vars(fm).items()
+             if "_quotient" in name and not name.startswith("_") and callable(fn)}
+    for name in forms:
+        monkeypatch.setattr(fm, name, recording(name, getattr(fm, name)))
+    odd = [q for q in range(5, SWEEP_ODD_BOUND, 4) if len(factorint(q)) == 1]
+    swept = 0
+    for q in [2**h for h in range(1, 21)] + odd:
+        for inst in enumerate_instances(q, include_tame=False):
+            closed = inst.genus_orbits()
+            assert closed is not None, inst.label()
+            assert all(type(x) is int and x >= 0 for x in closed), inst.label()
+            swept += 1
+    assert swept > 20000
+    assert called == forms
 
 
 def test_every_odd_family_is_integral_in_range():
