@@ -1,22 +1,22 @@
 """Genus spectrum assembly for Galois subfields of K_n.
 
-spectrum(q, n) walks the subgroup catalog of the chord stabilizer, obtains
-(quotient genus, orbit count, determinant order) for every instance, and
-lifts each through every candidate kernel-intersection order t into a
-GenusRecord.  Records with gcd(s, m/t) = 1 are tagged genus-complete: such
-a lift is always realized by an explicit subgroup upstairs.  The remaining
-candidates satisfy the order bookkeeping but carry no construction
-guarantee and are tagged constructed-only; reference tables include them,
-so the spectrum does too.  At q <= 25 every closed form is checked against
-the brute-force group action before anything is emitted; a disagreement
-aborts the run rather than producing unverified genera.  For larger q
-(formula mode) only the wild families with closed forms run, and the report
-is marked incomplete.  Formula mode enumerates only the wild instances (604
-at q = 2^20 instead of 1,234,472); `catalog --q` still lists every instance.
+quotient_table(q) holds (quotient genus, orbit count, determinant order),
+provenance and check results for every instance of the subgroup catalog of
+the chord stabilizer, built once per q; spectrum(q, n) lifts each row through
+every candidate kernel-intersection order t into a GenusRecord.  Records with
+gcd(s, m/t) = 1 are tagged genus-complete: such a lift is always realized by
+an explicit subgroup upstairs.  The rest satisfy the order bookkeeping but
+carry no construction guarantee and are tagged constructed-only; reference
+tables include them, so the spectrum does too.  At q <= 25 the table checks
+every closed form against the brute-force group action, and spectrum raises
+a disagreement before anything is emitted.  For larger q (formula mode) only
+the wild families with closed forms run, and the report is marked
+incomplete.  Formula mode enumerates only the wild instances (604 at
+q = 2^20 instead of 1,234,472); `catalog --q` still lists every instance.
 
 check_table replays a reference row and reports membership with witnesses.
-verify_all re-runs the per-instance certification suites and aggregates the
-outcome without raising.
+verify_all renders the check results of the same table and aggregates them
+without raising: one certifier serves both.
 """
 
 from __future__ import annotations
@@ -169,79 +169,120 @@ def _instances(q):
     return enumerate_instances(q, include_tame=False)
 
 
-def _instance_data(inst, oracle_mode):
-    """(g_bar, n_orbits, provenance) for one instance, or None to skip it."""
-    if not oracle_mode:
+@dataclass(frozen=True, slots=True)
+class QuotientRow:
+    """One catalog instance's (g_bar, n_orbits, s) at its q, which no n changes.
+
+    g_bar is None where formula mode has no closed form.  checks holds
+    verify_all's (name, flag) pairs and mismatch the first (kind, formula,
+    oracle) spectrum raises; formula rows have neither.  Rows hold no subgroup.
+    """
+
+    inst: object
+    g_bar: object
+    n_orbits: object
+    s: int
+    provenance: str
+    checks: tuple = ()
+    mismatch: tuple = None
+
+
+_CHECKS = ("order_ok", "s_ok", "n_ok", "tame_genus_ok", "burnside_ok", "tail_ok")
+
+
+def _certify(inst):
+    """Instantiate inst once, run every named check on it and drop it: an oracle row.
+
+    fails keeps spectrum's raise order; an exception is kept as text only.
+    """
+    checks = {"instance": inst.label(), **dict.fromkeys(_CHECKS)}
+    tame, g_bar, n_oracle, provenance, fails = inst.tame, None, None, None, []
+    try:
+        sub = instantiate(inst)
+        # instantiate raises unless it certified the order and the determinant image
+        checks["order_ok"] = checks["s_ok"] = True
         closed = inst.genus_orbits()
-        return None if closed is None else (closed[0], closed[1], "formula")
-    closed = inst.genus_orbits()
-    sub = instantiate(inst)
-    n_oracle = sub.n_orbits()
-    if inst.tame:
-        g_oracle = sub.tame_genus()
+        n_oracle = sub.n_orbits()
+        g_bar = sub.tame_genus() if tame else closed and closed[0]
+        provenance = "oracle" if closed is None else "both"
         burnside = _burnside_orbits(sub)
-        if burnside != n_oracle:
-            shown = int(burnside) if burnside.denominator == 1 else str(burnside)
-            raise _mismatch(inst, "tame-orbit-identity", shown, n_oracle)
+        if burnside is not None:
+            checks["burnside_ok"] = burnside == n_oracle
+            if tame and burnside != n_oracle:
+                shown = int(burnside) if burnside.denominator == 1 else str(burnside)
+                fails.append(("tame-orbit-identity", shown, n_oracle))
+        if closed is None and not tame:
+            fails.append(("missing-closed-form", None, n_oracle))
+        if closed is not None and tame:
+            checks["tame_genus_ok"] = closed[0] == g_bar
+            if closed[0] != g_bar:
+                fails.append(("tame-genus", closed[0], g_bar))
         if closed is not None:
-            if closed[0] != g_oracle:
-                raise _mismatch(inst, "tame-genus", closed[0], g_oracle)
+            checks["n_ok"] = closed[1] == n_oracle
             if closed[1] != n_oracle:
-                raise _mismatch(inst, "orbit-count", closed[1], n_oracle)
-            return g_oracle, n_oracle, "both"
-        return g_oracle, n_oracle, "oracle"
-    if closed is None:
-        raise _mismatch(inst, "missing-closed-form", None, n_oracle)
-    if closed[1] != n_oracle:
-        raise _mismatch(inst, "orbit-count", closed[1], n_oracle)
-    return closed[0], closed[1], "both"
+                fails.append(("orbit-count", closed[1], n_oracle))
+        w = inst.param_dict.get("w")
+        if w is not None:
+            checks["tail_ok"] = sub.z1_intersection_order() == w
+    except Exception as exc:  # noqa: BLE001 - kept as text; spectrum raises it
+        checks["error"] = "%s: %s" % (type(exc).__name__, exc)
+        fails.append(("certification-error", None, checks["error"]))
+    return QuotientRow(inst, g_bar, n_oracle, s_of(inst), provenance,
+                       tuple(checks.items()), fails[0] if fails else None)
+
+
+@lru_cache(maxsize=None)
+def quotient_table(q):
+    """One QuotientRow per instance of _instances(q), in order, built once per q.
+
+    Oracle mode certifies every instance once; formula mode evaluates every
+    closed form once.  The table is cached and shared; treat it as read-only.
+    """
+    if q <= SMALL_Q_LIMIT:
+        return tuple(_certify(inst) for inst in _instances(q))
+    return tuple(QuotientRow(inst, *(inst.genus_orbits() or (None, None)), s_of(inst), "formula")
+                 for inst in _instances(q))
 
 
 @lru_cache(maxsize=None)
 def spectrum(q, n):
     """Every genus reachable from the catalog at (q, n), with witnesses.
 
-    The returned report is cached and shared; treat it as read-only.
+    Lifts the rows of quotient_table(q), with the kernel orders t, m/t and
+    tags computed once per distinct s.  The report is cached and shared;
+    treat it as read-only.
     """
     m = formulas.m_of(q, n)
-    instances = _instances(q)  # checks the q bound before m is factored
+    _instances(q)  # checks the q bound before m is factored
     formulas.divisors_of_m(q, n)  # reject an m the budget cannot factor before any instance
     oracle_mode = q <= SMALL_Q_LIMIT
     mode = "oracle" if oracle_mode else "formula"
     complete = oracle_mode and gcd(q + 1, n) == 1
 
+    lifts = {}  # s -> [(t, m // t, completeness tag)]
     records = []
-    for inst in instances:
-        data = _instance_data(inst, oracle_mode)
-        if data is None:
+    for row in quotient_table(q):
+        inst = row.inst
+        if row.mismatch is not None:
+            raise _mismatch(inst, *row.mismatch)
+        g_bar, n_orbits, s = row.g_bar, row.n_orbits, row.s
+        if g_bar is None:
             continue
-        g_bar, n_orbits, provenance = data
-        s = s_of(inst)
-        for t in formulas.candidate_cm_orders(q, n, s):
-            tag = "genus-complete" if gcd(s, m // t) == 1 else "constructed-only"
+        by_t = lifts.get(s)
+        if by_t is None:
+            by_t = lifts[s] = [
+                (t, m // t, "genus-complete" if gcd(s, m // t) == 1 else "constructed-only")
+                for t in formulas.candidate_cm_orders(q, n, s)
+            ]
+        family, params, order, tame = inst.family, inst.params, inst.order, inst.tame
+        for t, m_over_t, tag in by_t:
             genus = formulas.lift_genus(q, n, g_bar, n_orbits, t)
-            if inst.tame:
-                tame_genus = formulas.lift_genus_tame(q, n, g_bar, inst.order, t)
+            if tame:
+                tame_genus = formulas.lift_genus_tame(q, n, g_bar, order, t)
                 if tame_genus != genus:
                     raise _mismatch(inst, "lift-identity", tame_genus, genus)
-            records.append(
-                GenusRecord(
-                    q=q,
-                    n=n,
-                    family=inst.family,
-                    params=inst.params,
-                    bar_order=inst.order,
-                    g_bar=g_bar,
-                    n_orbits=n_orbits,
-                    s=s,
-                    t=t,
-                    m_over_t=m // t,
-                    genus=genus,
-                    group_order=inst.order * t,
-                    provenance=provenance,
-                    completeness=tag,
-                )
-            )
+            records.append(GenusRecord(q, n, family, params, order, g_bar, n_orbits, s, t,
+                                       m_over_t, genus, order * t, row.provenance, tag))
     return SpectrumReport(q, n, m, mode, complete, records)
 
 
@@ -313,17 +354,16 @@ def row_passed(row):
 
 
 def verify_all(q):
-    """Re-run every per-instance certification at one q; never raises.
+    """The pass/None flags of quotient_table(q), one row per instance; never raises.
 
-    Each instance contributes a row of pass/None flags: order and
-    determinant checks always run, the orbit-count and tame-genus
-    comparisons run where a closed form exists, the Burnside cross-check
-    runs where the subgroup is materialized, and the central-intersection
-    check runs for families parameterized by w.
+    order_ok and s_ok come from instantiate's own certification of the order
+    and determinant image, so they read True once it returns; a build or check
+    that raises leaves an error entry.  n_ok and tame_genus_ok need a closed
+    form, burnside_ok a materialized subgroup, tail_ok a family with a w.
     """
     report = {"schema": VERIFY_SCHEMA, "q": q, "rejected": False}
     try:
-        instances = _instances(q)
+        _instances(q)
     except ValueError as exc:
         report.update(rejected=True, reason=str(exc), checks=[], passed=False)
         return report
@@ -337,35 +377,8 @@ def verify_all(q):
         )
         return report
 
-    checks = []
-    failures = 0
-    for inst in instances:
-        row = {"instance": inst.label(), "order_ok": None, "s_ok": None,
-               "n_ok": None, "tame_genus_ok": None, "burnside_ok": None,
-               "tail_ok": None}
-        try:
-            sub = instantiate(inst)
-            row["order_ok"] = sub.order == inst.order
-            row["s_ok"] = sub.det_image_order() == inst.det_rule
-            closed = inst.genus_orbits()
-            n_oracle = sub.n_orbits()
-            if closed is not None:
-                row["n_ok"] = closed[1] == n_oracle
-            if inst.tame:
-                g_oracle = sub.tame_genus()
-                if closed is not None:
-                    row["tame_genus_ok"] = closed[0] == g_oracle
-            burnside = _burnside_orbits(sub)
-            if burnside is not None:
-                row["burnside_ok"] = burnside == n_oracle
-            w = inst.param_dict.get("w")
-            if w is not None:
-                row["tail_ok"] = sub.z1_intersection_order() == w
-        except Exception as exc:  # noqa: BLE001 - aggregated, not raised
-            row["error"] = "%s: %s" % (type(exc).__name__, exc)
-        if not row_passed(row):
-            failures += 1
-        checks.append(row)
+    checks = [dict(row.checks) for row in quotient_table(q)]
+    failures = sum(1 for row in checks if not row_passed(row))
     report.update(
         checks=checks,
         n_instances=len(checks),

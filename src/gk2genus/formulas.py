@@ -8,9 +8,10 @@ Two kinds of closed-form data live here:
 * lifting rules turning such a pair into the genus of the matching Galois
   subfield of the second generalized GK function field.
 
-All arithmetic is exact rational arithmetic.  Every function validates its
-parameter constraints and raises ValueError when a combination is
-inconsistent, or when an expression that has to be an integer is not one.
+All arithmetic is exact: rational, except that the lifting rules stay in
+integers and build a Fraction only to report a bad genus.  Every function
+validates its parameter constraints and raises ValueError when a combination
+is inconsistent, or when an expression that has to be an integer is not one.
 
 The small-integer number theory under both (primality, prime powers,
 factoring, divisors, multiplicative orders) is plain-Python integer code
@@ -323,6 +324,8 @@ def lift_genus(q, n, quot_genus, n_orbits, cm_order):
     _check_divisor(cm_order, m, "cm_order")
     ratio = m // cm_order
     two_g = 2 + ratio * (2 * quot_genus - 2) + n_orbits * (ratio - 1)
+    if two_g % 2 == 0 and two_g >= 0:
+        return two_g // 2
     return _as_count(Fraction(two_g, 2), "lifted genus")
 
 
@@ -334,8 +337,11 @@ def lift_genus_tame(q, n, quot_genus, group_order, cm_order):
     m = m_of(q, n)
     _check_divisor(cm_order, m, "cm_order")
     ratio = m // cm_order
-    extra = Fraction((q * q - 1) * (q + 1) * (ratio - 1), 2 * group_order)
-    return _as_count(quot_genus + extra, "lifted genus")
+    num, den = (q * q - 1) * (q + 1) * (ratio - 1), 2 * group_order
+    genus, rem = divmod(quot_genus * den + num, den)
+    if rem == 0 and genus >= 0:
+        return genus
+    return _as_count(quot_genus + Fraction(num, den), "lifted genus")
 
 
 def admissible_cm_orders(q, n, s):

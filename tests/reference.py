@@ -8,6 +8,8 @@ the code it checks and the package holds only what the pipeline runs:
 * the genus of K_n itself, the subfield genus bound, the orbit count a
   tame quotient genus forces, and the rejected orbit-count variants
   recorded in formulas.ERRATA;
+* both lifting rules in Fraction arithmetic, against which the integer
+  lifts of formulas are checked;
 * the M_ell product and the type lookup by scalar field calls, M_ell
   elements acting on points one at a time, literal fixed-point counts, element types read from the eigenvectors of the chord block,
   random elements and subgroups, and the center Z and the torus;
@@ -28,6 +30,7 @@ import numpy as np
 
 from gk2genus.formulas import (
     _as_count,
+    _check_divisor,
     _even_qhw,
     _odd_qhw,
     hermitian_genus,
@@ -115,6 +118,27 @@ def embed_codes(sub, sup):
 
 
 # -- genera and the rejected orbit counts of formulas.ERRATA ----------------------
+
+
+def lift_genus_fraction(q, n, quot_genus, n_orbits, cm_order):
+    """formulas.lift_genus, computed through Fraction."""
+    m = m_of(q, n)
+    _check_divisor(cm_order, m, "cm_order")
+    ratio = m // cm_order
+    two_g = 2 + ratio * (2 * quot_genus - 2) + n_orbits * (ratio - 1)
+    return _as_count(Fraction(two_g, 2), "lifted genus")
+
+
+def lift_genus_tame_fraction(q, n, quot_genus, group_order, cm_order):
+    """formulas.lift_genus_tame, computed through Fraction."""
+    p, _ = prime_power(q)
+    if group_order % p == 0:
+        raise ValueError("tame lift needs a group order prime to %d" % p)
+    m = m_of(q, n)
+    _check_divisor(cm_order, m, "cm_order")
+    ratio = m // cm_order
+    extra = Fraction((q * q - 1) * (q + 1) * (ratio - 1), 2 * group_order)
+    return _as_count(quot_genus + extra, "lifted genus")
 
 
 def kn_genus(q, n):

@@ -104,7 +104,9 @@ def test_classify_names_a_q_past_the_dense_table_bound(capsys):
         assert capsys.readouterr().err == "error: q must be a prime power, got %s\n" % q
 
 
-def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(capsys, monkeypatch):
+def test_spectrum_names_q_and_n_when_m_exceeds_the_factoring_budget(
+    capsys, monkeypatch, cold_engine
+):
     # m = (4^151 + 1)/5 has 300 bits; the factoring budget leaves it composite,
     # and the spectrum rejects it before building any catalog instance
     def no_instances(inst):
@@ -245,15 +247,8 @@ def test_catalog_and_verify_csv_quote_labels_with_commas(capsys):
     assert [row[0] for row in rows[1:]] == labels
 
 
-@pytest.fixture
-def cold_spectrum():
-    engine.spectrum.cache_clear()
-    yield
-    engine.spectrum.cache_clear()
-
-
 def test_spectrum_refuses_a_closed_form_the_group_action_contradicts(
-    capsys, monkeypatch, cold_spectrum
+    capsys, monkeypatch, cold_engine
 ):
     # the closed form of every elation family, elementary_abelian among them
     closed_form = formulas.point_stabilizer_quotient
@@ -274,7 +269,7 @@ def test_spectrum_refuses_a_closed_form_the_group_action_contradicts(
 
 @pytest.mark.parametrize("burnside, shown", [(Fraction(131, 2), "131/2"), (Fraction(2), 2)])
 def test_spectrum_reports_a_burnside_average_the_orbit_count_contradicts(
-    capsys, monkeypatch, cold_spectrum, burnside, shown
+    capsys, monkeypatch, cold_engine, burnside, shown
 ):
     # the report goes through json.dumps, so a Fraction is shown as an int
     # when it is one and as a string otherwise

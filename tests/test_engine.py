@@ -3,16 +3,19 @@
 import gc
 import json
 import weakref
+from dataclasses import astuple
 from math import gcd
 
 import pytest
 
 from gk2genus import engine, formulas
-from gk2genus.catalog import enumerate_instances
+from gk2genus.catalog import RecipeError, enumerate_instances
 from gk2genus.engine import (
+    MismatchError,
     check_table,
     classify_elements,
     errata_report,
+    quotient_table,
     spectrum,
     verify_all,
 )
@@ -49,13 +52,23 @@ def test_spectrum_extremes_via_trivial_subgroup():
 
 
 def test_spectrum_genus_bounds():
-    for (q, n) in ((4, 5), (5, 3), (5, 5)):
+    # necessary conditions on every lift of every golden row, with G = g(K_n)
+    # and Q = q^n: the fixed field covers the quotient downstairs and is
+    # covered by K_n (Riemann-Hurwitz), and it is maximal over GF(Q^2), which
+    # bounds its genus by Ihara and Fuhrmann-Torres, then Korchmaros-Torres
+    for q, n in sorted(GOLDEN_ROWS):
         rep = spectrum(q, n)
-        upper = kn_genus(q, n)
+        upper, big_q = kn_genus(q, n), q**n
+        fuhrmann_torres = (big_q - 1) ** 2 // 4
+        korchmaros_torres = (big_q**2 - big_q + 4) // 6
         for rec in rep.records:
-            assert 0 <= rec.genus <= upper
+            g, label = rec.genus, rec.witness_label()
+            assert 0 <= rec.g_bar <= g <= upper, label
             assert rec.group_order == rec.bar_order * rec.t
             assert rec.m_over_t * rec.t == rep.m
+            assert 2 * upper - 2 >= rec.group_order * (2 * g - 2), label
+            assert g <= fuhrmann_torres, label
+            assert g == fuhrmann_torres or g <= korchmaros_torres, label
 
 
 def test_completeness_tags():
@@ -85,11 +98,12 @@ def test_unguaranteed_reference_values_are_flagged():
             assert rep.witness_for(genus).completeness == "constructed-only"
 
 
-def test_spectrum_deterministic_serialization():
+def test_spectrum_deterministic_serialization(cold_engine):
     first = spectrum(5, 3)
     js, cs = first.to_json(), first.to_csv()
-    spectrum.cache_clear()
+    cold_engine()
     second = spectrum(5, 3)
+    assert second is not first
     assert second.to_json() == js
     assert second.to_csv() == cs
     tree = json.loads(js)
@@ -98,9 +112,17 @@ def test_spectrum_deterministic_serialization():
     assert cs.splitlines()[0] == "genus,witness"
 
 
-def test_no_subgroup_outlives_spectrum_or_verify_all(monkeypatch):
+def _plain(value):
+    """Whether value is built from ints, strings, None and tuples alone."""
+    if isinstance(value, tuple):
+        return all(_plain(v) for v in value)
+    return value is None or type(value) in (bool, int, str)
+
+
+def test_no_subgroup_outlives_spectrum_or_verify_all(monkeypatch, cold_engine):
     # instantiate caches nothing, and neither do its callers: every subgroup
-    # is built, used and dropped
+    # is built, used and dropped, and the cached quotient table keeps plain
+    # data only
     refs = []
     real = engine.instantiate
 
@@ -110,11 +132,12 @@ def test_no_subgroup_outlives_spectrum_or_verify_all(monkeypatch):
         return sub
 
     monkeypatch.setattr(engine, "instantiate", tracked)
-    spectrum.cache_clear()
     spectrum(5, 3)
     verify_all(5)
     gc.collect()
     assert refs and all(ref() is None for ref in refs)
+    assert len(refs) == len(quotient_table(5)) == len(enumerate_instances(5))
+    assert all(_plain(astuple(row)) for row in quotient_table(5))
 
 
 def test_formula_mode_above_construction_bound():
@@ -139,6 +162,73 @@ def test_check_table_pass_and_fail():
         check_table(5, 3, [])
 
 
+def test_the_quotient_table_certifies_each_instance_once_per_q(monkeypatch, cold_engine):
+    calls = []
+    real = engine.instantiate
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(engine, "instantiate", counting)
+    spectrum(4, 5)
+    spectrum(4, 7)
+    verify_all(4)
+    assert len(calls) == 30 == len(set(calls)) == len(enumerate_instances(4))
+
+
+def test_formula_mode_evaluates_each_closed_form_once_per_q(monkeypatch, cold_engine):
+    calls = []
+    for name, fn in list(vars(formulas).items()):
+        if "_quotient" in name and not name.startswith("_") and callable(fn):
+            def counting(*args, fn=fn):
+                calls.append(args)
+                return fn(*args)
+
+            monkeypatch.setattr(formulas, name, counting)
+    for n in (3, 5, 7):
+        spectrum(2**20, n)
+    assert len(calls) == 604 == len(enumerate_instances(2**20, include_tame=False))
+
+
+def test_a_build_error_is_kept_as_text_and_refused_by_spectrum(monkeypatch, cold_engine):
+    target = enumerate_instances(4)[3]
+    real = engine.instantiate
+
+    def failing(inst):
+        if inst == target:
+            raise RecipeError("recipe broke")
+        return real(inst)
+
+    monkeypatch.setattr(engine, "instantiate", failing)
+    rep = verify_all(4)
+    (row,) = [r for r in rep["checks"] if r["instance"] == target.label()]
+    assert row["error"] == "RecipeError: recipe broke"
+    assert rep["n_failures"] == 1 and not rep["passed"]
+    with pytest.raises(MismatchError) as info:
+        spectrum(4, 3)
+    assert info.value.report["kind"] == "certification-error"
+    assert info.value.report["instance"] == target.label()
+    assert info.value.report["oracle"] == "RecipeError: recipe broke"
+    # the row keeps the message, not the exception and its traceback
+    assert all(_plain(astuple(r)) for r in quotient_table(4))
+
+
+def test_a_tame_row_reports_its_genus_before_its_orbit_count(monkeypatch, cold_engine):
+    # spectrum raises a row's first failure, in the order the checks always ran
+    closed_form = formulas.point_stabilizer_quotient
+
+    def torus_off_by_one(q, mu, u):
+        genus, orbits = closed_form(q, mu, u)
+        return (genus + 1, orbits + 1) if u == 0 else (genus, orbits)
+
+    monkeypatch.setattr(formulas, "point_stabilizer_quotient", torus_off_by_one)
+    with pytest.raises(MismatchError) as info:
+        spectrum(4, 3)
+    assert info.value.report["kind"] == "tame-genus"
+    assert info.value.report["instance"].startswith("torus_cyclic[q=4,")
+
+
 def test_verify_all_passes_at_small_q():
     rep = verify_all(4)
     assert rep["passed"] and not rep["rejected"]
@@ -148,7 +238,7 @@ def test_verify_all_passes_at_small_q():
         assert row["order_ok"] and row["s_ok"]
 
 
-def test_verify_all_fails_a_fractional_burnside_average(monkeypatch):
+def test_verify_all_fails_a_fractional_burnside_average(monkeypatch, cold_engine):
     # an element of order 5 listed with the identity only is not a group:
     # its fixed points average 65/2, which no orbit count equals
     ctx = ml_context(4)

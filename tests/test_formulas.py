@@ -1,6 +1,8 @@
 """Tests for the closed-form genus and orbit-count formulas."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -10,9 +12,13 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from gk2genus import formulas as fm
 from gk2genus.catalog import enumerate_instances
+from gk2genus.engine import spectrum
+from gk2genus.golden import GOLDEN_ROWS
 from reference import (
     genus_upper_bound,
     kn_genus,
+    lift_genus_fraction,
+    lift_genus_tame_fraction,
     n_orbits_tame,
     sl2_five_orbit_count_rejected,
     sl2_two_orbit_count_rejected,
@@ -97,6 +103,60 @@ def test_lift_tame_matches_generic_rule():
                             fm.lift_genus_tame(q, n, g_quot, order, t)
                         continue
                     assert lifted == fm.lift_genus_tame(q, n, g_quot, order, t)
+
+
+def test_integer_lifts_match_the_fraction_lifts_on_every_golden_and_formula_record():
+    for q, n in sorted(GOLDEN_ROWS) + [(2**20, 3), (2**20, 5), (2**20, 7)]:
+        p, _ = fm.prime_power(q)
+        for rec in spectrum(q, n).records:
+            args = (q, n, rec.g_bar, rec.n_orbits, rec.t)
+            assert fm.lift_genus(*args) == lift_genus_fraction(*args) == rec.genus
+            if rec.bar_order % p:
+                args = (q, n, rec.g_bar, rec.bar_order, rec.t)
+                assert fm.lift_genus_tame(*args) == lift_genus_tame_fraction(*args) == rec.genus
+
+
+def _same_outcome(lift, reference, *args):
+    """Both return the same int, or both raise ValueError with the same text.
+
+    Returns the kind of outcome: "int" or the reason the reference gave.
+    """
+    try:
+        expected = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            lift(*args)
+        assert str(info.value) == str(exc), args
+        text = str(exc)
+        if "got -" in text:
+            return "negative"
+        return "non-integral" if "/" in text.rsplit("got", 1)[-1] else text.split(" ", 1)[0]
+    got = lift(*args)
+    assert got == expected and type(got) is int, args
+    return "int"
+
+
+def test_integer_lifts_match_the_fraction_lifts_on_a_random_grid():
+    rng = random.Random(20181)
+    seen = Counter()
+    for _ in range(4000):
+        q = rng.choice((2, 3, 4, 5, 8, 9, 13, 16, 25, 27, 2**20))
+        n = rng.choice((1, 3, 5, 7))
+        # mostly divisors of m, and now and then a kernel order that is none
+        t = rng.choice(fm.divisors_of_m(q, n)) if rng.random() < 0.9 else rng.randint(1, 12)
+        # m is odd, so with t | m only a half-integral quotient genus makes 2g odd
+        g_bar = rng.randint(-4, 40) if rng.random() < 0.75 else Fraction(rng.randint(-9, 81), 2)
+        lift = _same_outcome(fm.lift_genus, lift_genus_fraction,
+                             q, n, g_bar, rng.randint(0, 60), t)
+        tame = _same_outcome(fm.lift_genus_tame, lift_genus_tame_fraction,
+                             q, n, g_bar, rng.randint(1, 240), t)
+        seen["lift", lift] += 1
+        seen["tame", tame] += 1
+    # odd 2g (non-integral), negative genera and bad arguments all occur, on both rules
+    for rule in ("lift", "tame"):
+        for kind in ("int", "non-integral", "negative", "cm_order"):
+            assert seen[rule, kind] > 0, (rule, kind, seen)
+    assert seen["tame", "tame"] > 0
 
 
 def test_admissible_cm_orders():

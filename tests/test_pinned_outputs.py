@@ -72,11 +72,9 @@ def test_cli_output_matches_its_pin(command, capsys):
 
 
 @pytest.fixture
-def cold_caches():
-    engine.spectrum.cache_clear()
+def cold_caches(cold_engine):
     catalog.enumerate_instances.cache_clear()
     yield
-    engine.spectrum.cache_clear()
     catalog.enumerate_instances.cache_clear()
 
 
