@@ -27,7 +27,9 @@ classify call each; a Subgroup keeps its own, and its tame genus and Burnside
 orbit average are sums over it.  Orbit counting memoizes each distinct
 generator's cycle labels on the context, one read-only 2-byte array per
 generator, so a generator shared by many subgroups is mapped to its point
-permutation once per q.  The chord frame is a basis change P taking the basis
+permutation once per q; a count starts from a copy of the first generator's
+labels and hooks in each later generator's edges only while they join two
+different roots.  The chord frame is a basis change P taking the basis
 to R0 and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]];
 frame_element conjugates a matrix preserving J into the chord element it stands
 for, and the inventory is built that way.
@@ -255,40 +257,47 @@ class MlContext:
     def orbit_counts(self, gens):
         """(chord orbits, affine orbits) of the subgroup generated by gens.
 
-        Each generator labels its cycles by their smallest point index; the
-        orbits are the connected components of the union of those cycle
-        partitions, merged in one generator at a time by min-label hooking
-        and pointer jumping.  The labels of each distinct generator are
-        memoized on the context, so perm_of runs once per element per q
-        however many subgroups share it; the memo holds O(points) per
-        distinct generator, at 2 bytes each (q <= 32 gives at most 32,769
-        points), read-only since every caller shares it.
+        The orbits are the components of the union of the generators' cycle
+        partitions, each cycle labelled by its smallest point index.  A copy
+        of the first generator's labels starts the forest.  A later
+        generator's edges i -- m(i), m(i) the minimum of i's cycle, become
+        root pairs; each round keeps the pairs whose roots still differ,
+        hooks the larger root under the smaller (Shiloach-Vishkin),
+        pointer-jumps to a fixed point and re-reads both ends.  Each distinct
+        generator's labels are memoized on the context, read-only at 2 bytes
+        a point (q <= 32 gives at most 32,769), so perm_of runs once per
+        element per q however many subgroups share it.
         """
-        ids = np.arange(len(self.pts))
-        lab = ids.copy()  # every label is a root: lab[lab] == lab
-        for g in gens:
-            # one edge i -- m(i) per point, m(i) the minimum of its g-cycle
-            heads = self._cycle_heads.get(g)
-            if heads is None:
-                heads = _cycle_minima(self.perm_of(g)).astype(np.uint16)
-                heads.flags.writeable = False
-                self._cycle_heads[g] = heads
-            tails = ids
-            while tails.size:
-                a, b = lab[tails], lab[heads]
+        if not gens:
+            return self.q + 1, self.q**3 - self.q
+        lab = self._heads(gens[0]).astype(np.intp)  # every label is a root: lab[lab] == lab
+        for g in gens[1:]:
+            a, b = lab, lab[self._heads(g)]
+            while True:
                 split = a != b
-                tails, heads, a, b = tails[split], heads[split], a[split], b[split]
-                # hook the larger root of each split edge under the smaller
-                # one; every write lowers a root, whichever of several wins
+                a, b = a[split], b[split]
+                if not a.size:
+                    break
+                # every write lowers a root, whichever of several wins
                 lab[np.maximum(a, b)] = np.minimum(a, b)
                 while True:
                     jumped = lab[lab]
                     if np.array_equal(jumped, lab):
                         break
                     lab = jumped
-        roots = lab == ids
+                a, b = lab[a], lab[b]
+        roots = lab == np.arange(len(lab))
         nch = self.pts.chord_count
         return int(np.count_nonzero(roots[:nch])), int(np.count_nonzero(roots[nch:]))
+
+    def _heads(self, g):
+        """g's memoized cycle labels: each point's smallest index on its g-cycle."""
+        heads = self._cycle_heads.get(g)
+        if heads is None:
+            heads = _cycle_minima(self.perm_of(g)).astype(np.uint16)
+            heads.flags.writeable = False
+            self._cycle_heads[g] = heads
+        return heads
 
     # -- element classification -----------------------------------------------
 

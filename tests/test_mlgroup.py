@@ -1,5 +1,6 @@
 """Tests for the curve automorphism group M_ell and the tower group."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -372,6 +373,42 @@ def test_orbit_counts_do_not_depend_on_the_order_the_memo_fills():
     ctx._cycle_heads.clear()
     backward = [ctx.orbit_counts(gens) for gens in reversed(gen_lists)]
     assert backward[::-1] == forward
+
+
+@pytest.mark.parametrize("q", (4, 9, 25, 32))
+def test_orbit_counts_start_from_the_first_generators_labels(q):
+    ctx = ml_context(q)
+    rng = random.Random(q)
+    one, z, torus, swap = ctx.identity, ctx.z_gen, ctx.torus_gen, ctx.swap
+    u, g = ctx.s_ell_gens[-1], random_element(ctx, rng)
+    # each list's counts do not depend on its order, so one search per set
+    gen_sets = [
+        [one, torus],  # the identity first: its labels are the points
+        [z, torus],
+        [torus, ctx.power(torus, 2)],  # the second merges nothing
+        [torus, one, z],  # nor do the identity and the center
+        [torus, swap, torus],  # a repeated generator
+        [z, u, swap],
+        [one, z, torus, swap],
+        [torus, ctx.power(torus, 3), u, u],
+        [g, z, swap, one],
+    ]
+    for gens in gen_sets:
+        ctx.orbit_counts(gens)
+    snapshot = {h: heads.copy() for h, heads in ctx._cycle_heads.items()}
+    seen = set()
+    for gens in gen_sets:
+        expected = _bfs_orbit_counts(ctx, gens)
+        for perm in itertools.permutations(gens):
+            assert ctx.orbit_counts(list(perm)) == expected, perm
+        seen.add(expected)
+    assert len(seen) >= 3  # not every set is transitive
+    for gens in gen_sets[2:4]:
+        assert ctx.orbit_counts(gens) == ctx.orbit_counts([torus])
+    assert ctx.orbit_counts([one]) == ctx.orbit_counts([]) == (q + 1, q**3 - q)
+    assert ctx._cycle_heads.keys() == snapshot.keys()
+    for h, heads in ctx._cycle_heads.items():
+        assert np.array_equal(heads, snapshot[h])
 
 
 def test_memoized_cycle_labels_are_read_only_two_byte_arrays():
