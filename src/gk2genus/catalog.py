@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import formulas
 from .formulas import divisors
@@ -392,72 +393,72 @@ def _point_stab_realizable(q, mu, u):
     return u % f == 0
 
 
-def _even_instances(q, add):
+def _even_instances(q):
     p, h = formulas.prime_power(q)
     ws = divisors(q + 1)
 
     for w in ws:
         for f in range(1, h + 1):
-            add(FamilyInstance(q, "elementary_abelian", (("f", f), ("w", w)), 2**f * w, w))
-        add(FamilyInstance(q, "sl2_two", (("w", w),), 6 * w, w))
+            yield FamilyInstance(q, "elementary_abelian", (("f", f), ("w", w)), 2**f * w, w)
+        yield FamilyInstance(q, "sl2_two", (("w", w),), 6 * w, w)
         for f in divisors(h):
             if f > 1:
-                add(FamilyInstance(q, "sl2_subfield", (("k", f), ("w", w)),
-                                   (2 ** (3 * f) - 2**f) * w, w))
+                yield FamilyInstance(q, "sl2_subfield", (("k", f), ("w", w)),
+                                     (2 ** (3 * f) - 2**f) * w, w)
         for t in divisors(q - 1):
             if t > 1:
-                add(FamilyInstance(q, "dihedral", (("t", t), ("w", w)), 2 * t * w, w))
+                yield FamilyInstance(q, "dihedral", (("t", t), ("w", w)), 2 * t * w, w)
         if h % 2 == 0:
-            add(FamilyInstance(q, "alt5", (("w", w),), 60 * w, w))
-            add(FamilyInstance(q, "alt4", (("w", w),), 12 * w, w))
+            yield FamilyInstance(q, "alt5", (("w", w),), 60 * w, w)
+            yield FamilyInstance(q, "alt4", (("w", w),), 12 * w, w)
         for f in range(1, h + 1):
             for d in divisors(math.gcd(2**f - 1, q - 1)):
                 if d > 1:
-                    add(FamilyInstance(q, "elation_semidirect",
-                                       (("f", f), ("d", d), ("w", w)),
-                                       2**f * d * w, w))
+                    yield FamilyInstance(q, "elation_semidirect",
+                                         (("f", f), ("d", d), ("w", w)),
+                                         2**f * d * w, w)
         for t in ws:
-            add(FamilyInstance(q, "triangle", (("t", t), ("w", w)), 2 * t * w, w))
+            yield FamilyInstance(q, "triangle", (("t", t), ("w", w)), 2 * t * w, w)
 
 
-def _odd_instances(q, add):
+def _odd_instances(q):
     p, h = formulas.prime_power(q)
     ws = divisors((q + 1) // 2)
 
     for w in ws:
         if (q * q - 1) % 5 == 0:
-            add(FamilyInstance(q, "sl2_five", (("w", w),), 120 * w, w))
+            yield FamilyInstance(q, "sl2_five", (("w", w),), 120 * w, w)
         for k in divisors(h):
             order = p**k * (p ** (2 * k) - 1) * w
-            add(FamilyInstance(q, "sl2_subfield", (("k", k), ("w", w)), order, w))
+            yield FamilyInstance(q, "sl2_subfield", (("k", k), ("w", w)), order, w)
             if (h // k) % 2 == 0:
-                add(FamilyInstance(q, "sl2_split_ext", (("k", k), ("w", w)), 2 * order, w))
+                yield FamilyInstance(q, "sl2_split_ext", (("k", k), ("w", w)), 2 * order, w)
             else:
-                add(FamilyInstance(q, "unitary_pm", (("k", k), ("w", w)), 2 * order, 2 * w))
+                yield FamilyInstance(q, "unitary_pm", (("k", k), ("w", w)), 2 * order, 2 * w)
         if p >= 5:
-            add(FamilyInstance(q, "sl2_three", (("w", w),), 24 * w, w))
+            yield FamilyInstance(q, "sl2_three", (("w", w),), 24 * w, w)
             if (q - 1) % 8 == 0:
-                add(FamilyInstance(q, "binary_octahedral", (("w", w),), 48 * w, w))
+                yield FamilyInstance(q, "binary_octahedral", (("w", w),), 48 * w, w)
             else:
-                add(FamilyInstance(q, "gl2_three", (("w", w),), 48 * w, 2 * w))
+                yield FamilyInstance(q, "gl2_three", (("w", w),), 48 * w, 2 * w)
         for d in divisors((q - 1) // 2):
             if d > 1:
-                add(FamilyInstance(q, "dicyclic", (("d", d), ("w", w)), 4 * d * w, w))
+                yield FamilyInstance(q, "dicyclic", (("d", d), ("w", w)), 4 * d * w, w)
         for d in divisors(q - 1):
             if d > 2:
-                add(FamilyInstance(q, "dihedral", (("d", d), ("w", w)), 2 * d * w, 2 * w))
+                yield FamilyInstance(q, "dihedral", (("d", d), ("w", w)), 2 * d * w, 2 * w)
         for d in divisors((q - 1) // 2):
             if ((q - 1) // (2 * d)) % 2 == 1:
-                add(FamilyInstance(q, "hat_dicyclic", (("d", d), ("w", w)), 8 * d * w, 2 * w))
+                yield FamilyInstance(q, "hat_dicyclic", (("d", d), ("w", w)), 8 * d * w, 2 * w)
 
     for mu in divisors(q * q - 1):
         for u in range(1, h + 1):
             if _point_stab_realizable(q, mu, u):
-                add(FamilyInstance(q, "point_stabilizer", (("mu", mu), ("u", u)),
-                                   p**u * mu, _torus_det_rule(q, mu)))
+                yield FamilyInstance(q, "point_stabilizer", (("mu", mu), ("u", u)),
+                                     p**u * mu, _torus_det_rule(q, mu))
 
 
-def _triangle_swap_instances(q, add):
+def _triangle_swap_instances(q):
     """Swap-stable diagonal parts extended by a chord swap (odd q, all tame)."""
     n = q + 1
     half = n // 2
@@ -471,20 +472,20 @@ def _triangle_swap_instances(q, add):
             j2 = (t - half) % n
             if _a1_contains(n, d, e, a, i2, j2):
                 share = math.gcd(g_s, t) if t else g_s
-                add(FamilyInstance(q, "triangle_swap",
-                                   (("d", d), ("e", e), ("a", a), ("t", t)),
-                                   2 * d * e, n // share))
+                yield FamilyInstance(q, "triangle_swap",
+                                     (("d", d), ("e", e), ("a", a), ("t", t)),
+                                     2 * d * e, n // share)
 
 
-def _tame_tail(q, add):
+def _tame_tail(q):
     """The pointwise triangle stabilizers and torus cyclics: tame at every q."""
     n = q + 1
     for e in divisors(q * q - 1):
         if n % e:
-            add(FamilyInstance(q, "torus_cyclic", (("e", e),), e, _torus_det_rule(q, e)))
+            yield FamilyInstance(q, "torus_cyclic", (("e", e),), e, _torus_det_rule(q, e))
     for d, e, a in _a1_triples(n):
         g_s = math.gcd(math.gcd(n // d, (a + n // e) % n), n)
-        add(FamilyInstance(q, "diagonal", (("d", d), ("e", e), ("a", a)), d * e, n // g_s))
+        yield FamilyInstance(q, "diagonal", (("d", d), ("e", e), ("a", a)), d * e, n // g_s)
 
 
 @lru_cache(maxsize=None)
@@ -500,28 +501,17 @@ def enumerate_instances(q, include_tame=True):
     """
     if q > ENUM_Q_LIMIT:
         raise ValueError("q=%d exceeds the supported bound %d" % (q, ENUM_Q_LIMIT))
-    p, h = formulas.prime_power(q)
+    p, _ = formulas.prime_power(q)
     if p != 2 and q % 4 != 1:
         raise ValueError(
             "the chord stabilizer splits as needed only for q even or "
             "q = 1 (mod 4); q=%d falls outside" % q
         )
-    out = []
-    if include_tame:
-        add = out.append
-    else:
-        def add(inst):
-            if not inst.tame:
-                out.append(inst)
-    if p == 2:
-        _even_instances(q, add)
-    else:
-        _odd_instances(q, add)
-        if include_tame:
-            _triangle_swap_instances(q, add)
-    if include_tame:
-        _tame_tail(q, add)
-    return tuple(out)
+    parity = _even_instances(q) if p == 2 else _odd_instances(q)
+    if not include_tame:
+        return tuple(inst for inst in parity if not inst.tame)
+    swaps = () if p == 2 else _triangle_swap_instances(q)
+    return tuple(chain(parity, swaps, _tame_tail(q)))
 
 
 def instantiate(inst):

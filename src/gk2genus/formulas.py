@@ -474,7 +474,9 @@ def triangle_quotient_even(q, t, w):
 
 # ---------------------------------------------------------------------------
 # Families for q = 1 mod 4.  Here w is the order of the intersection with
-# the odd central factor of order (q + 1)/2.
+# the odd central factor of order (q + 1)/2.  The split-torus extension is
+# the sl2_subfield recipe plus one element; its closed form reads
+# sl2_subfield_quotient.
 # ---------------------------------------------------------------------------
 
 
@@ -553,31 +555,15 @@ def sl2_split_ext_quotient(q, k, w):
 
     The extending element squares to a generator of the split torus of the
     subfield group, so the extension has twice its order.  Needs h/k even.
+    Its quotient is exactly (g/2, N/2 + 1), (g, N) = sl2_subfield_quotient:
+    by Riemann-Hurwitz the double cover between the two quotients branches
+    at exactly two points, two orbits of rational points, and pairs the rest.
     """
-    p, h = _odd_qhw(q, w)
+    _, h = _odd_qhw(q, w)
     if k < 1 or h % k != 0 or (h // k) % 2 != 0:
         raise ValueError("k must divide %d with even quotient, got %r" % (h, k))
-    pk = p**k
-    delta = (
-        (pk * pk - 1) * (q + 2)
-        + pk * pk
-        - 1
-        + q
-        + 1
-        + pk * (pk + 1) * (pk - 3) * w
-        + pk * (pk - 1) ** 2
-        + 2 * (pk * pk - 1) * (w - 1)
-        + 2 * (w - 1) * (q + 1)
-        + pk * (pk - 1) ** 2 * (w - 1)
-        + 2 * pk * (pk * pk - 1) * w
-    )
-    g = 1 + Fraction(q * q - q - 2 - delta, 4 * pk * (pk * pk - 1) * w)
-    n = (
-        2
-        + Fraction(q - pk * pk, pk * (pk * pk - 1))
-        + Fraction(q * (q - 1) * (q + 1), 2 * pk * (pk * pk - 1) * w)
-    )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
+    g, n = sl2_subfield_quotient(q, k, w)
+    return _as_count(Fraction(g, 2), "genus"), _as_count(Fraction(n, 2) + 1, "orbit count")
 
 
 def unitary_pm_quotient(q, k, w):

@@ -6,7 +6,8 @@ the code it checks and the package holds only what the pipeline runs:
 * point normalization and curve membership on projective triples;
 * the canonical subfield embedding between two finite fields;
 * the genus of K_n itself, the subfield genus bound, the orbit count a
-  tame quotient genus forces, and the rejected orbit-count variants
+  tame quotient genus forces, the split-torus extension's closed form
+  written out term by term, and the rejected orbit-count variants
   recorded in formulas.ERRATA;
 * both lifting rules in Fraction arithmetic, against which the integer
   lifts of formulas are checked;
@@ -164,6 +165,34 @@ def n_orbits_tame(q, group_order, quot_genus):
         raise ValueError("orbit identity needs a group order prime to %d" % p)
     total = (q - 1) * (q + 1) ** 2 - group_order * (2 * quot_genus - 2)
     return _as_count(Fraction(total, group_order), "orbit count")
+
+
+def sl2_split_ext_quotient_direct(q, k, w):
+    """formulas.sl2_split_ext_quotient, with its genus polynomial written out."""
+    p, h = _odd_qhw(q, w)
+    if k < 1 or h % k != 0 or (h // k) % 2 != 0:
+        raise ValueError("k must divide %d with even quotient, got %r" % (h, k))
+    pk = p**k
+    delta = (
+        (pk * pk - 1) * (q + 2)
+        + pk * pk
+        - 1
+        + q
+        + 1
+        + pk * (pk + 1) * (pk - 3) * w
+        + pk * (pk - 1) ** 2
+        + 2 * (pk * pk - 1) * (w - 1)
+        + 2 * (w - 1) * (q + 1)
+        + pk * (pk - 1) ** 2 * (w - 1)
+        + 2 * pk * (pk * pk - 1) * w
+    )
+    g = 1 + Fraction(q * q - q - 2 - delta, 4 * pk * (pk * pk - 1) * w)
+    n = (
+        2
+        + Fraction(q - pk * pk, pk * (pk * pk - 1))
+        + Fraction(q * (q - 1) * (q + 1), 2 * pk * (pk * pk - 1) * w)
+    )
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
 
 
 def unitary_pm_orbit_count_rejected(q, k, w):

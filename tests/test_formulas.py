@@ -7,7 +7,7 @@ from math import gcd, isqrt
 
 import pytest
 from sympy import divisors as sympy_divisors
-from sympy import factorint, isprime, n_order
+from sympy import factorint, isprime, n_order, primerange
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from gk2genus import formulas as fm
@@ -21,6 +21,7 @@ from reference import (
     lift_genus_tame_fraction,
     n_orbits_tame,
     sl2_five_orbit_count_rejected,
+    sl2_split_ext_quotient_direct,
     sl2_two_orbit_count_rejected,
     unitary_pm_orbit_count_rejected,
 )
@@ -350,6 +351,27 @@ def test_sl2_split_ext_quotient_values():
     assert fm.sl2_split_ext_quotient(9, 1, 1) == (0, 17)
     g, n = fm.sl2_split_ext_quotient(25, 1, 1)
     assert g == 0 and n > 0
+
+
+def test_sl2_split_ext_quotient_matches_direct_form():
+    # The folded form (g/2, N/2 + 1) of sl2_subfield_quotient equals the
+    # split extension's own polynomial at every q = 1 (mod 4) up to 2^20,
+    # k | h with h/k even, and w | (q + 1)/2.  h/k even makes q = p^h an
+    # odd square, so q = 1 (mod 4) holds by itself.
+    checked = 0
+    for p in primerange(3, 2**10):
+        h = 2
+        while p**h <= 2**20:
+            q = p**h
+            for k in divisors(h):
+                if (h // k) % 2 == 0:
+                    for w in sympy_divisors((q + 1) // 2):
+                        assert fm.sl2_split_ext_quotient(q, k, w) == (
+                            sl2_split_ext_quotient_direct(q, k, w)
+                        ), (q, k, w)
+                        checked += 1
+            h += 2
+    assert checked > 1000
 
 
 def test_unitary_pm_quotient_values_and_erratum():
