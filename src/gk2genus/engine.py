@@ -3,13 +3,16 @@
 quotient_table(q) holds (quotient genus, orbit count, determinant order),
 provenance and check results for every instance of the subgroup catalog of
 the chord stabilizer, built once per q; spectrum(q, n) lifts each row through
-every candidate kernel-intersection order t into a GenusRecord.  Records with
-gcd(s, m/t) = 1 are tagged genus-complete: such a lift is always realized by
-an explicit subgroup upstairs.  The rest satisfy the order bookkeeping but
-carry no construction guarantee and are tagged constructed-only; reference
-tables include them, so the spectrum does too.  At q <= 25 the table checks
-every closed form against the brute-force group action, and spectrum raises
-a disagreement before anything is emitted.  For larger q (formula mode) only
+every candidate kernel-intersection order t.  Its report keeps the lifts as
+plain tuples and builds a GenusRecord from one only on request: the full
+records tuple on first access (JSON and text output), one witness at a time
+for witness_for, none for CSV, so neither CSV nor check_table builds the
+full list.  Lifts with gcd(s, m/t) = 1 are tagged genus-complete: such a
+lift is always realized by an explicit subgroup upstairs.  The rest satisfy
+the order bookkeeping but carry no construction guarantee and are tagged
+constructed-only; reference tables include them, so the spectrum does too.
+At q <= 25 the table checks every closed form against the brute-force group
+action, and spectrum raises a disagreement before anything is emitted.  For larger q (formula mode) only
 the wild families with closed forms run, and the report is marked
 incomplete.  Formula mode enumerates only the wild instances (604 at
 q = 2^20 instead of 1,234,472); `catalog --q` still lists every instance.
@@ -24,9 +27,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd
 
@@ -62,6 +65,17 @@ def errata_report():
     return {"schema": ERRATA_SCHEMA, "entries": formulas.ERRATA}
 
 
+def witness_key(family, params, t):
+    """Order among the lifts of one genus: the least key is its witness."""
+    return family, params, t
+
+
+def _label_prefix(family, params):
+    """A witness label up to its t: `family[name=value,...,t=`."""
+    inner = ",".join("%s=%d" % kv for kv in params)
+    return "%s[%s%st=" % (family, inner, "," if inner else "")
+
+
 @dataclass(frozen=True, slots=True)
 class GenusRecord:
     """One lifted genus: a catalog instance paired with a kernel order t.
@@ -69,8 +83,9 @@ class GenusRecord:
     bar_order is the order of the projected subgroup downstairs, group_order
     the order bar_order * t of the full subgroup upstairs.  The stored
     fields recompute genus via the lifting rule, which to_dict consumers can
-    replay exactly.  Records are slotted: a spectrum holds thousands of them
-    (9,664 at q = 2^20, n = 5).
+    replay exactly.  Records are slotted, and a SpectrumReport builds them
+    only on request: its lifts number in the thousands (9,664 at q = 2^20,
+    n = 5).
     """
 
     q: int
@@ -89,38 +104,64 @@ class GenusRecord:
     completeness: str
 
     def witness_key(self):
-        return (self.family, self.params, self.t)
+        return witness_key(self.family, self.params, self.t)
 
     def witness_label(self):
-        inner = ",".join("%s=%d" % kv for kv in self.params)
-        return "%s[%s%st=%d]" % (self.family, inner, "," if inner else "", self.t)
+        return "%s%d]" % (_label_prefix(self.family, self.params), self.t)
 
     def to_dict(self):
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in self.__slots__}  # the fields, in order
         d["params"] = dict(self.params)
         return d
 
 
 class SpectrumReport:
-    """All genera constructed at one (q, n), with per-genus witnesses."""
+    """All genera constructed at one (q, n), with per-genus witnesses.
 
-    def __init__(self, q, n, m, mode, complete, records):
+    lifts holds one (row, t, m_over_t, tag, genus) tuple per lift of a
+    QuotientRow row through a kernel order t.  A GenusRecord is built from
+    a lift only when asked for: records builds them all on first access,
+    witness_for one per genus, and both hand out the same object for the
+    same lift.  to_csv builds none.
+    """
+
+    def __init__(self, q, n, m, mode, complete, lifts):
         self.q = q
         self.n = n
         self.m = m
         self.mode = mode
         self.complete = complete
-        self.records = tuple(records)
-        witnesses = {}
-        for rec in self.records:
-            cur = witnesses.get(rec.genus)
-            if cur is None or rec.witness_key() < cur.witness_key():
-                witnesses[rec.genus] = rec
-        self._witnesses = witnesses
-        self.genera = tuple(sorted(witnesses))
+        self._lifts = lifts
+        self._built = {}  # lift index -> GenusRecord
+        best = {}  # genus -> index of its witness lift
+        for i, lift in enumerate(lifts):
+            j = best.setdefault(lift[4], i)
+            if j != i and self._key(i) < self._key(j):
+                best[lift[4]] = i
+        self._best = best
+        self.genera = tuple(sorted(best))
+
+    def _key(self, i):
+        row, t = self._lifts[i][:2]
+        return witness_key(row.inst.family, row.inst.params, t)
+
+    def _record(self, i):
+        rec = self._built.get(i)
+        if rec is None:
+            row, t, m_over_t, tag, genus = self._lifts[i]
+            inst = row.inst
+            rec = self._built[i] = GenusRecord(
+                self.q, self.n, inst.family, inst.params, inst.order, row.g_bar, row.n_orbits,
+                row.s, t, m_over_t, genus, inst.order * t, row.provenance, tag)
+        return rec
+
+    @cached_property
+    def records(self):
+        return tuple(map(self._record, range(len(self._lifts))))
 
     def witness_for(self, genus):
-        return self._witnesses.get(genus)
+        i = self._best.get(genus)
+        return None if i is None else self._record(i)
 
     def to_dict(self):
         return {
@@ -138,7 +179,16 @@ class SpectrumReport:
         return _json(self.to_dict())
 
     def to_csv(self):
-        rows = ((genus, self._witnesses[genus].witness_label()) for genus in self.genera)
+        lifts, prefixes = self._lifts, {}
+
+        def label(i):
+            row, t = lifts[i][:2]
+            prefix = prefixes.get(id(row))  # rows are shared by many lifts
+            if prefix is None:
+                prefix = prefixes[id(row)] = _label_prefix(row.inst.family, row.inst.params)
+            return "%s%d]" % (prefix, t)
+
+        rows = ((genus, label(self._best[genus])) for genus in self.genera)
         return _csv_rows(chain([("genus", "witness")], rows))
 
 
@@ -259,8 +309,8 @@ def spectrum(q, n):
     mode = "oracle" if oracle_mode else "formula"
     complete = oracle_mode and gcd(q + 1, n) == 1
 
-    lifts = {}  # s -> [(t, m // t, completeness tag)]
-    records = []
+    by_s = {}  # s -> [(t, m // t, completeness tag)]
+    lifts = []
     for row in quotient_table(q):
         inst = row.inst
         if row.mismatch is not None:
@@ -268,22 +318,22 @@ def spectrum(q, n):
         g_bar, n_orbits, s = row.g_bar, row.n_orbits, row.s
         if g_bar is None:
             continue
-        by_t = lifts.get(s)
+        by_t = by_s.get(s)
         if by_t is None:
-            by_t = lifts[s] = [
-                (t, m // t, "genus-complete" if gcd(s, m // t) == 1 else "constructed-only")
-                for t in formulas.candidate_cm_orders(q, n, s)
-            ]
-        family, params, order, tame = inst.family, inst.params, inst.order, inst.tame
+            by_t = by_s[s] = []
+            for t in formulas.candidate_cm_orders(q, n, s):
+                formulas._check_divisor(t, m, "cm_order")  # what lift_genus checks per call
+                tag = "genus-complete" if gcd(s, m // t) == 1 else "constructed-only"
+                by_t.append((t, m // t, tag))
+        tame = inst.tame
         for t, m_over_t, tag in by_t:
-            genus = formulas.lift_genus(q, n, g_bar, n_orbits, t)
+            genus = formulas.lift_genus_by_degree(g_bar, n_orbits, m_over_t)
             if tame:
-                tame_genus = formulas.lift_genus_tame(q, n, g_bar, order, t)
+                tame_genus = formulas.lift_genus_tame(q, n, g_bar, inst.order, t)
                 if tame_genus != genus:
                     raise _mismatch(inst, "lift-identity", tame_genus, genus)
-            records.append(GenusRecord(q, n, family, params, order, g_bar, n_orbits, s, t,
-                                       m_over_t, genus, order * t, row.provenance, tag))
-    return SpectrumReport(q, n, m, mode, complete, records)
+            lifts.append((row, t, m_over_t, tag, genus))
+    return SpectrumReport(q, n, m, mode, complete, lifts)
 
 
 class TableCheck:

@@ -322,7 +322,11 @@ def lift_genus(q, n, quot_genus, n_orbits, cm_order):
     """Genus of the subfield determined by (quot_genus, n_orbits) and kernel part cm_order."""
     m = m_of(q, n)
     _check_divisor(cm_order, m, "cm_order")
-    ratio = m // cm_order
+    return lift_genus_by_degree(quot_genus, n_orbits, m // cm_order)
+
+
+def lift_genus_by_degree(quot_genus, n_orbits, ratio):
+    """lift_genus for the cover degree ratio = m / cm_order, which the caller checked."""
     two_g = 2 + ratio * (2 * quot_genus - 2) + n_orbits * (ratio - 1)
     if two_g % 2 == 0 and two_g >= 0:
         return two_g // 2

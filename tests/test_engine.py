@@ -315,3 +315,41 @@ def test_spectrum_witness_labels_unique_per_genus():
             (r for r in rep.records if r.genus == genus),
             key=lambda r: r.witness_key(),
         )
+
+
+def _least_keyed(records):
+    least = {}
+    for rec in records:
+        cur = least.get(rec.genus)
+        if cur is None or rec.witness_key() < cur.witness_key():
+            least[rec.genus] = rec
+    return least
+
+
+def test_witness_is_the_least_keyed_record_whichever_is_read_first():
+    # records are built lazily: witness_for and records must hand out one object per lift
+    for q, n in ((4, 5), (5, 3), (13, 5)):
+        spectrum.cache_clear()
+        records_first = spectrum(q, n)
+        spectrum.cache_clear()
+        witness_first = spectrum(q, n)
+        assert records_first is not witness_first
+        least = _least_keyed(records_first.records)
+        assert all(records_first.witness_for(g) is least[g] for g in records_first.genera)
+        witnesses = {g: witness_first.witness_for(g) for g in witness_first.genera}
+        least = _least_keyed(witness_first.records)
+        assert witnesses == least and all(witnesses[g] is least[g] for g in least)
+
+
+def test_check_table_builds_one_record_per_hit(cold_engine, monkeypatch):
+    record, built = engine.GenusRecord, []
+
+    def counted(*args):
+        built.append(record(*args))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "GenusRecord", counted)
+    check = check_table(5, 3, GOLDEN_ROWS[(5, 3)] + (5,))
+    check.to_dict()
+    assert check.missing == (5,)
+    assert [rec for _, rec in check.hits] == built and len(built) == len(GOLDEN_ROWS[(5, 3)])

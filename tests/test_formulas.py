@@ -112,9 +112,23 @@ def test_integer_lifts_match_the_fraction_lifts_on_every_golden_and_formula_reco
         for rec in spectrum(q, n).records:
             args = (q, n, rec.g_bar, rec.n_orbits, rec.t)
             assert fm.lift_genus(*args) == lift_genus_fraction(*args) == rec.genus
+            assert fm.lift_genus_by_degree(rec.g_bar, rec.n_orbits, rec.m_over_t) == rec.genus
             if rec.bar_order % p:
                 args = (q, n, rec.g_bar, rec.bar_order, rec.t)
                 assert fm.lift_genus_tame(*args) == lift_genus_tame_fraction(*args) == rec.genus
+
+
+def test_lift_genus_keeps_its_checks_around_the_degree_core():
+    # m = 205 at (4, 5): a kernel order that does not divide it is refused
+    with pytest.raises(ValueError, match="cm_order must divide 205, got 3"):
+        fm.lift_genus(4, 5, 0, 1, 3)
+    # m is odd, so only a half-integral g_bar makes 2g odd: 2 + 5 * (-1) + 1 * 4 at m/t = 5
+    half = Fraction(1, 2)
+    for lift in (lambda: fm.lift_genus(4, 5, half, 1, 41), lambda: fm.lift_genus_by_degree(half, 1, 5)):
+        with pytest.raises(ValueError, match="lifted genus must be a nonnegative integer, got 1/2"):
+            lift()
+    with pytest.raises(ValueError, match="lifted genus must be a nonnegative integer, got -2"):
+        fm.lift_genus_by_degree(0, 0, 3)
 
 
 def _same_outcome(lift, reference, *args):

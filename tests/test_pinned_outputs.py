@@ -91,3 +91,12 @@ def test_formula_mode_never_reaches_the_tame_enumeration(cold_caches, monkeypatc
     rejection = json.dumps(engine.verify_all(2**20), sort_keys=True, indent=2) + "\n"
     assert _sha(rejection) == PINS["verify --q 1048576 --format json"][1]
 
+
+def test_formula_csv_builds_no_genus_record(cold_engine, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("built a GenusRecord for %s" % (args[2:4],))
+
+    monkeypatch.setattr(engine, "GenusRecord", no_record)
+    for n in (3, 5, 7):
+        assert _sha(engine.spectrum(2**20, n).to_csv()) == PINS[
+            "spectrum --q 1048576 --n %d --format csv" % n][1]
