@@ -11,9 +11,11 @@ order, the determinant image and the involution count of the quaternionic
 families.  A recipe that fails to certify raises RecipeError instead of
 substituting something else.  Subgroups are not cached: each call builds
 and certifies a new one, which the caller drops when it is done with it.
-Wild families carry closed-form (genus, orbit count) data so the spectrum
-engine can run where explicit groups are out of reach; tame families are
-evaluated through the group action directly.
+Wild families, and the torus cyclics, carry closed-form (genus, orbit count)
+data so the spectrum engine can run where explicit groups are out of reach;
+the other tame families are evaluated through the group action directly.
+Everything known about one family sits in its _FAMILIES entry: its builder,
+its closed form or None, and the involution count instantiate certifies.
 """
 
 from __future__ import annotations
@@ -65,44 +67,16 @@ class FamilyInstance:
         inner = ",".join("%s=%d" % kv for kv in self.params)
         return "%s[q=%d%s%s]" % (self.family, self.q, "," if inner else "", inner)
 
+    def recipe(self):
+        """The _FAMILIES entry, w (1 if absent) and the other parameters in label order."""
+        args = dict(self.params)
+        w = args.pop("w", 1)
+        return _FAMILIES[self.family], w, list(args.values())
+
     def genus_orbits(self):
-        """Closed-form (quotient genus, short orbit count), or None if tame-only."""
-        return _formula_value(self)
-
-
-# -- closed-form dispatch -------------------------------------------------------
-
-
-def _formula_value(inst):
-    q, P = inst.q, inst.param_dict
-    fam, w = inst.family, P.get("w", 1)
-    args = _recipe_params(inst)
-    if fam in _ELATION_RECIPE:
-        f, d = _ELATION_RECIPE[fam](*args)
-        return formulas.point_stabilizer_quotient(q, d * w, f)
-    if fam in _SL2_RECIPE:
-        k = _SL2_RECIPE[fam](*args)
-        if q % 2 == 0:
-            return formulas.sl2_subfield_quotient_even(q, k, w)
-        return formulas.sl2_subfield_quotient(q, k, w)
-    if fam == "dihedral" and q % 2 == 0:
-        return formulas.dihedral_quotient_even(q, P["t"], w)
-    if fam == "triangle":
-        return formulas.triangle_quotient_even(q, P["t"], w)
-    if fam == "sl2_five" and q % 3 == 0:
-        return formulas.sl2_five_quotient_char3(q, w)
-    if fam == "sl2_split_ext":
-        return formulas.sl2_split_ext_quotient(q, P["k"], w)
-    if fam == "unitary_pm":
-        return formulas.unitary_pm_quotient(q, P["k"], w)
-    if fam == "torus_cyclic":
-        return formulas.point_stabilizer_quotient(q, P["e"], 0)
-    return None
-
-
-def _recipe_params(inst):
-    """The instance's parameters other than w, in label order: its builder's arguments."""
-    return [v for k, v in inst.params if k != "w"]
+        """Closed-form (quotient genus, short orbit count), or None if the family has none."""
+        (_, form, _), w, args = self.recipe()
+        return form and form(self.q, w, *args)
 
 
 # -- shared building blocks -----------------------------------------------------
@@ -208,16 +182,15 @@ def _sl2_three_matrices(ctx):
 # Every generator is written down in closed form, mostly as a frame matrix
 # whose entries are powers of the field generator; no builder searches group
 # elements or field codes.
-# Families that share a recipe are listed in _ELATION_RECIPE and _SL2_RECIPE,
-# which _BUILDERS and _formula_value both read, so each recipe has one builder
-# and one closed form.  The SL(2, p^k) families (sl2_two = SL(2, 2),
-# alt5 = SL(2, 4), sl2_subfield) take the standard generators from
-# MlContext.sl2_gens; at k = h those are S_ell's own, so instantiate keeps
-# that group as a determinant preimage.  The elation families
-# (elementary_abelian, alt4 = E_4 by C_3, elation_semidirect,
-# point_stabilizer) all build through _make_elation_semidirect; the dihedral
-# families take the chord swap MlContext.swap, and the dicyclic ones the Weyl
-# element.
+# Families that share a recipe get their _FAMILIES entry from _elation or
+# _sl2, so each recipe has one builder and one closed form.  The SL(2, p^k)
+# families (sl2_two = SL(2, 2), alt5 = SL(2, 4), sl2_subfield) take the
+# standard generators from MlContext.sl2_gens; at k = h those are S_ell's
+# own, so instantiate keeps that group as a determinant preimage.  The
+# elation families (elementary_abelian, alt4 = E_4 by C_3,
+# elation_semidirect, point_stabilizer, and torus_cyclic with no elations)
+# all build through _make_elation_semidirect; the dihedral families take the
+# chord swap MlContext.swap, and the dicyclic ones the Weyl element.
 
 
 def _make_dihedral(ctx, order):
@@ -225,14 +198,14 @@ def _make_dihedral(ctx, order):
     return [_torus_power(ctx, order), ctx.swap]
 
 
-def _make_elation_semidirect(ctx, f, d=1):
+def _make_elation_semidirect(ctx, f, d):
     """An order-p^f elation group, extended by a torus element delta of order d > 1.
 
     delta = diag(lam, lam^-q) conjugates U(b) = [[1, b], [0, 1]] to U(nu b)
     with nu = lam^(q+1), which generates GF(p^r).  The U(nu^i theta^j), i < r
     and j < f/r, with theta a generator of GF(q)*, are a GF(p)-basis of a
     GF(p^r)-subspace of GF(q), so they generate an order-p^f group that
-    delta normalizes.
+    delta normalizes.  At f = 0 the group is the torus cyclic C_d alone.
     """
     F, q = ctx.F, ctx.q
     delta = _torus_power(ctx, d)
@@ -253,10 +226,6 @@ def _make_triangle_even(ctx, t):
     if not ctx.is_element(sigma):
         raise RecipeError("chord swap involution is not available")
     return gens + [sigma]
-
-
-def _make_torus_cyclic(ctx, e):
-    return [_torus_power(ctx, e)]
 
 
 def _make_diagonal(ctx, d, e, a):
@@ -341,39 +310,70 @@ def _make_unitary_pm(ctx, k):
     return list(ctx.s_ell_gens) + [ctx.beta]
 
 
-# Each family's recipe arguments from its parameters other than w: (f, d) of
-# the order-p^f elation group extended by a torus C_d, and k of SL(2, p^k).
-_ELATION_RECIPE = {
-    "elementary_abelian": lambda f: (f, 1),
-    "elation_semidirect": lambda f, d: (f, d),
-    "alt4": lambda: (2, 3),
-    "point_stabilizer": lambda mu, u: (u, mu),
-}
-_SL2_RECIPE = {"sl2_two": lambda: 1, "alt5": lambda: 2, "sl2_subfield": lambda k: k}
+# -- the family table -------------------------------------------------------------
+#
+# _FAMILIES maps each family name to (builder, closed form, involutions).  The
+# builder takes the context and the family's parameters other than w, in label
+# order; the closed form takes (q, w, *those parameters) and returns
+# (quotient genus, orbit count), or None where it has none (dihedral at odd q,
+# sl2_five outside characteristic 3); involutions is the quaternionic
+# families' involution count, a structural marker their order alone does not
+# fix.  Closed forms are looked up on formulas when called.
 
-_BUILDERS = {
-    **{fam: lambda ctx, *params, rec=rec: _make_elation_semidirect(ctx, *rec(*params))
-       for fam, rec in _ELATION_RECIPE.items()},
-    **{fam: lambda ctx, *params, rec=rec: ctx.sl2_gens(rec(*params))
-       for fam, rec in _SL2_RECIPE.items()},
-    "dihedral": _make_dihedral,
-    "triangle": _make_triangle_even,
-    "torus_cyclic": _make_torus_cyclic,
-    "diagonal": _make_diagonal,
-    "triangle_swap": _make_triangle_swap,
-    "sl2_three": _make_sl2_three,
-    "binary_octahedral": _make_sl2_three_ext,
-    "gl2_three": _make_sl2_three_ext,
-    "sl2_five": _make_sl2_five,
-    "dicyclic": _make_dicyclic,
-    "hat_dicyclic": _make_hat_dicyclic,
-    "sl2_split_ext": _make_sl2_split_ext,
-    "unitary_pm": _make_unitary_pm,
-}
 
-# Involutions in each quaternionic family: a structural marker its order
-# alone does not fix.
-_INVOLUTIONS = {"sl2_three": 1, "binary_octahedral": 1, "gl2_three": 13, "sl2_five": 1}
+def _elation(recipe):
+    """The entry of a family whose (f, d) = recipe(*params): p^f elations by a torus C_d."""
+
+    def build(ctx, *params):
+        return _make_elation_semidirect(ctx, *recipe(*params))
+
+    def form(q, w, *params):
+        f, d = recipe(*params)
+        return formulas.point_stabilizer_quotient(q, d * w, f)
+
+    return build, form, None
+
+
+def _sl2(recipe):
+    """The entry of a family whose k = recipe(*params): SL(2, p^k)."""
+
+    def build(ctx, *params):
+        return ctx.sl2_gens(recipe(*params))
+
+    def form(q, w, *params):
+        if q % 2 == 0:
+            return formulas.sl2_subfield_quotient_even(q, recipe(*params), w)
+        return formulas.sl2_subfield_quotient(q, recipe(*params), w)
+
+    return build, form, None
+
+
+_FAMILIES = {
+    "elementary_abelian": _elation(lambda f: (f, 1)),
+    "elation_semidirect": _elation(lambda f, d: (f, d)),
+    "alt4": _elation(lambda: (2, 3)),
+    "point_stabilizer": _elation(lambda mu, u: (u, mu)),
+    "torus_cyclic": _elation(lambda e: (0, e)),
+    "sl2_two": _sl2(lambda: 1),
+    "alt5": _sl2(lambda: 2),
+    "sl2_subfield": _sl2(lambda k: k),
+    "dihedral": (_make_dihedral, lambda q, w, t: (
+        formulas.dihedral_quotient_even(q, t, w) if q % 2 == 0 else None), None),
+    "triangle": (_make_triangle_even,
+                 lambda q, w, t: formulas.triangle_quotient_even(q, t, w), None),
+    "diagonal": (_make_diagonal, None, None),
+    "triangle_swap": (_make_triangle_swap, None, None),
+    "sl2_three": (_make_sl2_three, None, 1),
+    "binary_octahedral": (_make_sl2_three_ext, None, 1),
+    "gl2_three": (_make_sl2_three_ext, None, 13),
+    "sl2_five": (_make_sl2_five, lambda q, w: (
+        formulas.sl2_five_quotient_char3(q, w) if q % 3 == 0 else None), 1),
+    "dicyclic": (_make_dicyclic, None, None),
+    "hat_dicyclic": (_make_hat_dicyclic, None, None),
+    "sl2_split_ext": (_make_sl2_split_ext,
+                      lambda q, w, k: formulas.sl2_split_ext_quotient(q, k, w), None),
+    "unitary_pm": (_make_unitary_pm, lambda q, w, k: formulas.unitary_pm_quotient(q, k, w), None),
+}
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -526,8 +526,8 @@ def instantiate(inst):
             "explicit subgroups are only constructed for q <= %d" % SMALL_Q_LIMIT
         )
     ctx = ml_context(inst.q)
-    w = inst.param_dict.get("w", 1)
-    gens = _BUILDERS[inst.family](ctx, *_recipe_params(inst))
+    (build, _, involutions), w, params = inst.recipe()
+    gens = build(ctx, *params)
     if w > 1:
         gens.append(_center_gen(ctx, w))
     if set(ctx.s_ell_gens) <= set(gens):
@@ -545,7 +545,6 @@ def instantiate(inst):
             "%s has determinant image of order %d, rule says %d"
             % (inst.label(), s, inst.det_rule)
         )
-    involutions = _INVOLUTIONS.get(inst.family)
     if involutions is not None and _involution_count(ctx, sub) != involutions:
         raise RecipeError(
             "%s must contain exactly %d involution(s)" % (inst.label(), involutions)

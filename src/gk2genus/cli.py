@@ -96,10 +96,9 @@ def _run_spectrum(ns):
         lines = [
             "spectrum q=%d n=%d m=%d mode=%s complete=%s"
             % (rep.q, rep.n, rep.m, rep.mode, rep.complete),
-            "%d records, %d distinct genera" % (len(rep.records), len(rep.genera)),
+            "%d records, %d distinct genera" % (rep.n_lifts, len(rep.genera)),
         ]
-        for g in rep.genera:
-            lines.append("%12d  %s" % (g, rep.witness_for(g).witness_label()))
+        lines += ("%12d  %s" % pair for pair in rep.witness_labels())
         if ns.verbose:
             for rec in rep.records:
                 lines.append(

@@ -7,10 +7,11 @@ every candidate kernel-intersection order t.  Its report keeps the lifts as
 plain tuples and builds a GenusRecord from one only on request: the full
 records tuple on first access (JSON and text output), one witness at a time
 for witness_for, none for CSV, so neither CSV nor check_table builds the
-full list.  Lifts with gcd(s, m/t) = 1 are tagged genus-complete: such a
-lift is always realized by an explicit subgroup upstairs.  The rest satisfy
-the order bookkeeping but carry no construction guarantee and are tagged
-constructed-only; reference tables include them, so the spectrum does too.
+full list.  Lifts through a t of formulas.admissible_cm_orders(q, n, s) are
+tagged genus-complete: such a lift is always realized by an explicit
+subgroup upstairs.  The rest satisfy the order bookkeeping but carry no
+construction guarantee and are tagged constructed-only; reference tables
+include them, so the spectrum does too.
 At q <= 25 the table checks every closed form against the brute-force group
 action, and spectrum raises a disagreement before anything is emitted.  For larger q (formula mode) only
 the wild families with closed forms run, and the report is marked
@@ -122,7 +123,8 @@ class SpectrumReport:
     QuotientRow row through a kernel order t.  A GenusRecord is built from
     a lift only when asked for: records builds them all on first access,
     witness_for one per genus, and both hand out the same object for the
-    same lift.  to_csv builds none.
+    same lift.  n_lifts counts them and witness_labels labels each genus's
+    witness without building any, for to_csv and the text listing.
     """
 
     def __init__(self, q, n, m, mode, complete, lifts):
@@ -132,6 +134,7 @@ class SpectrumReport:
         self.mode = mode
         self.complete = complete
         self._lifts = lifts
+        self.n_lifts = len(lifts)
         self._built = {}  # lift index -> GenusRecord
         best = {}  # genus -> index of its witness lift
         for i, lift in enumerate(lifts):
@@ -178,18 +181,18 @@ class SpectrumReport:
     def to_json(self):
         return _json(self.to_dict())
 
-    def to_csv(self):
-        lifts, prefixes = self._lifts, {}
-
-        def label(i):
-            row, t = lifts[i][:2]
+    def witness_labels(self):
+        """Yield (genus, its witness's label) in genus order, building no GenusRecord."""
+        prefixes = {}
+        for genus in self.genera:
+            row, t = self._lifts[self._best[genus]][:2]
             prefix = prefixes.get(id(row))  # rows are shared by many lifts
             if prefix is None:
                 prefix = prefixes[id(row)] = _label_prefix(row.inst.family, row.inst.params)
-            return "%s%d]" % (prefix, t)
+            yield genus, "%s%d]" % (prefix, t)
 
-        rows = ((genus, label(self._best[genus])) for genus in self.genera)
-        return _csv_rows(chain([("genus", "witness")], rows))
+    def to_csv(self):
+        return _csv_rows(chain([("genus", "witness")], self.witness_labels()))
 
 
 def _mismatch(inst, kind, formula_value, oracle_value):
@@ -321,9 +324,10 @@ def spectrum(q, n):
         by_t = by_s.get(s)
         if by_t is None:
             by_t = by_s[s] = []
+            admissible = set(formulas.admissible_cm_orders(q, n, s))
             for t in formulas.candidate_cm_orders(q, n, s):
                 formulas._check_divisor(t, m, "cm_order")  # what lift_genus checks per call
-                tag = "genus-complete" if gcd(s, m // t) == 1 else "constructed-only"
+                tag = "genus-complete" if t in admissible else "constructed-only"
                 by_t.append((t, m // t, tag))
         tame = inst.tame
         for t, m_over_t, tag in by_t:

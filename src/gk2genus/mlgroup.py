@@ -474,9 +474,8 @@ class Subgroup:
         self.order = len(elements)
 
     @classmethod
-    def from_closure(cls, ctx, gens, maxsize=ML_CLOSURE_LIMIT):
-        els = closure(gens, ctx.compose, ctx.identity, maxsize=maxsize)
-        return cls(ctx, gens, els)
+    def from_closure(cls, ctx, gens):
+        return cls(ctx, gens, closure(gens, ctx.compose, ctx.identity))
 
     def __contains__(self, g):
         return g in self.elements

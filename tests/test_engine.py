@@ -87,6 +87,14 @@ def test_completeness_tags():
             "constructed-only"
         )
         assert rec.completeness == expect
+    # the tag is membership in formulas.admissible_cm_orders, row by row
+    for q, n in sorted(GOLDEN_ROWS) + [(2**20, n) for n in (3, 5, 7)]:
+        admissible = {}
+        for rec in spectrum(q, n).records:
+            if rec.s not in admissible:
+                admissible[rec.s] = set(formulas.admissible_cm_orders(q, n, rec.s))
+            expect = "genus-complete" if rec.t in admissible[rec.s] else "constructed-only"
+            assert rec.completeness == expect, (q, n, rec.witness_label())
 
 
 def test_unguaranteed_reference_values_are_flagged():

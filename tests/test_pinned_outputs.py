@@ -58,6 +58,10 @@ PINS = {
     "spectrum --q 29 --n 5 --format json": (0, "01ce8647b9d68712a954c6058e15b66b9453c76c4d9d8c9753ba2aa71b87d4d9"),
     "spectrum --q 2401 --n 7 --format csv": (0, "f97591a86d17e385159472cdfefa4ddae7723bd275b075256d4df8bbe2a97e92"),
     "verify --q 1048576 --format json": (2, "f4ca3b0116181606421e9adf308800d16e593aa743ae614ec698ff656f76fd14"),
+    # the text listing, with and without every record
+    "spectrum --q 1048576 --n 5": (0, "6fc61518cf6128d110260aa3ad26e8d56326e5db4b409f47d4b3b806261f21bb"),
+    "spectrum --q 5 --n 3 -v": (0, "f6d544b7b090922c63a46d22fe57cce7aced613152b07f1c0438873c68c64a18"),
+    "spectrum --q 4 --n 5 -v": (0, "f26ab76a06f5adc00020e383359aeef019267b411d5b559e5245e5fb8441b2d4"),
 }
 
 
@@ -92,11 +96,18 @@ def test_formula_mode_never_reaches_the_tame_enumeration(cold_caches, monkeypatc
     assert _sha(rejection) == PINS["verify --q 1048576 --format json"][1]
 
 
-def test_formula_csv_builds_no_genus_record(cold_engine, monkeypatch):
-    def no_record(*args):
-        raise AssertionError("built a GenusRecord for %s" % (args[2:4],))
+def _no_record(*args):
+    raise AssertionError("built a GenusRecord for %s" % (args[2:4],))
 
-    monkeypatch.setattr(engine, "GenusRecord", no_record)
+
+def test_formula_csv_builds_no_genus_record(cold_engine, monkeypatch):
+    monkeypatch.setattr(engine, "GenusRecord", _no_record)
     for n in (3, 5, 7):
         assert _sha(engine.spectrum(2**20, n).to_csv()) == PINS[
             "spectrum --q 1048576 --n %d --format csv" % n][1]
+
+
+def test_formula_text_builds_no_genus_record(cold_engine, monkeypatch, capsys):
+    monkeypatch.setattr(engine, "GenusRecord", _no_record)
+    command = "spectrum --q 1048576 --n 5"
+    assert (main(command.split()), _sha(capsys.readouterr().out)) == PINS[command]
