@@ -11,9 +11,9 @@ order, the determinant image and the involution count of the quaternionic
 families.  A recipe that fails to certify raises RecipeError instead of
 substituting something else.  Subgroups are not cached: each call builds
 and certifies a new one, which the caller drops when it is done with it.
-Wild families, and the torus cyclics, carry closed-form (genus, orbit count)
-data so the spectrum engine can run where explicit groups are out of reach;
-the other tame families are evaluated through the group action directly.
+Wild families, and the torus cyclics, carry a closed census, from which
+formulas gives their (genus, orbit count) where explicit groups are out of
+reach; the other tame families are evaluated through the group action alone.
 Everything known about one family sits in its _FAMILIES entry: its builder,
 its closed form or None, and the involution count instantiate certifies.
 """
@@ -74,7 +74,7 @@ class FamilyInstance:
         return _FAMILIES[self.family], w, list(args.values())
 
     def genus_orbits(self):
-        """Closed-form (quotient genus, short orbit count), or None if the family has none."""
+        """Closed-form (quotient genus, orbit count on all q^3 + 1 points), or None if none."""
         (_, form, _), w, args = self.recipe()
         return form and form(self.q, w, *args)
 
@@ -182,15 +182,10 @@ def _sl2_three_matrices(ctx):
 # Every generator is written down in closed form, mostly as a frame matrix
 # whose entries are powers of the field generator; no builder searches group
 # elements or field codes.
-# Families that share a recipe get their _FAMILIES entry from _elation or
-# _sl2, so each recipe has one builder and one closed form.  The SL(2, p^k)
-# families (sl2_two = SL(2, 2), alt5 = SL(2, 4), sl2_subfield) take the
-# standard generators from MlContext.sl2_gens; at k = h those are S_ell's
-# own, so instantiate keeps that group as a determinant preimage.  The
-# elation families (elementary_abelian, alt4 = E_4 by C_3,
-# elation_semidirect, point_stabilizer, and torus_cyclic with no elations)
-# all build through _make_elation_semidirect; the dihedral families take the
-# chord swap MlContext.swap, and the dicyclic ones the Weyl element.
+# The SL(2, p^k) families take the standard generators from
+# MlContext.sl2_gens; at k = h those are S_ell's own, so instantiate keeps
+# that group as a determinant preimage.  The dihedral families take the chord
+# swap MlContext.swap, and the dicyclic ones the Weyl element.
 
 
 def _make_dihedral(ctx, order):
@@ -314,11 +309,15 @@ def _make_unitary_pm(ctx, k):
 #
 # _FAMILIES maps each family name to (builder, closed form, involutions).  The
 # builder takes the context and the family's parameters other than w, in label
-# order; the closed form takes (q, w, *those parameters) and returns
-# (quotient genus, orbit count), or None where it has none (dihedral at odd q,
-# sl2_five outside characteristic 3); involutions is the quaternionic
+# order; the closed form takes (q, w, *those parameters) and returns the
+# family's closed census through formulas.quotient_data, as (quotient genus,
+# orbit count), or None where it has none (the tame families but torus_cyclic,
+# dihedral at odd q, sl2_five outside characteristic 3).  Families that share
+# a recipe take one builder and one census from _elation (p^f elations by a
+# torus C_d; alt4 is E_4 by C_3, torus_cyclic has f = 0) or _sl2 (SL(2, p^k);
+# sl2_two and alt5 are k = 1 and 2).  involutions is the quaternionic
 # families' involution count, a structural marker their order alone does not
-# fix.  Closed forms are looked up on formulas when called.
+# fix.
 
 
 def _elation(recipe):
@@ -341,8 +340,6 @@ def _sl2(recipe):
         return ctx.sl2_gens(recipe(*params))
 
     def form(q, w, *params):
-        if q % 2 == 0:
-            return formulas.sl2_subfield_quotient_even(q, recipe(*params), w)
         return formulas.sl2_subfield_quotient(q, recipe(*params), w)
 
     return build, form, None

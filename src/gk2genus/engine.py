@@ -29,7 +29,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd
@@ -397,9 +396,7 @@ def _burnside_orbits(sub):
     """
     if sub.elements is None:
         return None
-    ctx = sub.ctx
-    fixed = sum(ctx.fix_h[tag] * k for tag, k in sub.census.items())
-    return Fraction(len(ctx.pts) + fixed, sub.order)  # the identity fixes every point
+    return formulas.quotient_data(sub.ctx.q, sub.order, sub.census)[1]
 
 
 def row_passed(row):

@@ -1,12 +1,11 @@
 """Exact genus and orbit-count formulas for Hermitian curve quotients.
 
-Two kinds of closed-form data live here:
-
-* per-family pairs (genus, orbit count) for the quotient of the Hermitian
-  curve by a chord-stabilizer subgroup, where the orbit count is the number
-  of orbits of the subgroup on the rational curve points, and
-* lifting rules turning such a pair into the genus of the matching Galois
-  subfield of the second generalized GK function field.
+quotient_data gives the genus of the quotient of the Hermitian curve by a
+chord-stabilizer subgroup, and the subgroup's orbit count on the rational
+curve points, from its order and census; each catalog family's closed form
+is its census in closed form.  Lifting rules turn such a pair into the
+genus of the matching Galois subfield of the second generalized GK function
+field.
 
 All arithmetic is exact: rational, except that the lifting rules stay in
 integers and build a Fraction only to report a bad genus.  Every function
@@ -277,11 +276,10 @@ def prime_power(q):
 
 
 def _as_count(x, what):
-    """Reduce an exact rational to a nonnegative int, rejecting anything else."""
-    x = Fraction(x)
-    if x.denominator != 1 or x < 0:
+    """Reduce an int or Fraction to a nonnegative int, rejecting anything else."""
+    if x.denominator != 1 or x.numerator < 0:
         raise ValueError("%s must be a nonnegative integer, got %s" % (what, x))
-    return int(x)
+    return x.numerator
 
 
 def _check_divisor(d, n, what):
@@ -403,223 +401,190 @@ def divisors_of_m(q, n):
 
 
 # ---------------------------------------------------------------------------
-# Families for even q.  Throughout, w is the order of the intersection with
-# the central cyclic subgroup of order q + 1 acting trivially on the chord.
+# Quotient data from a census: the count of a subgroup H's nonidentity
+# elements of each fixed-point type (mlgroup.MlContext.classify).  By
+# Riemann-Hurwitz with Hilbert's different formula (Stichtenoth, Thm 3.8.7)
+# and Burnside's lemma on the q^3 + 1 rational points,
 #
-# One closed form serves each recipe the catalog builds with, not each family
-# name.  The elation families (elementary_abelian, elation_semidirect, and
-# alt4 = E_4 extended by C_3) take point_stabilizer_quotient below, valid in
-# every characteristic, with mu = d w and u = f.  The subfield families
-# sl2_two (SL(2, 2) = S_3), alt5 (SL(2, 4) = A_5) and sl2_subfield take
-# sl2_subfield_quotient_even with f = 1, 2 and k.
+#     2 g(H_q) - 2 = |H| (2 g_bar - 2) + sum_(sigma != 1) i(sigma),
+#     N |H| = q^3 + 1 + sum_(sigma != 1) fix(sigma),
+#
+# fix(sigma) counting sigma's fixed points, all rational, and i(sigma) summing
+# its different exponents at them.  Each closed form below is its family's
+# census in the family's parameters; w is the order of its intersection with
+# the central cyclic group fixing the chord pointwise, of order q + 1 at even
+# q and (q + 1)/2 at q = 1 (mod 4).
 # ---------------------------------------------------------------------------
 
 
-def _even_qhw(q, w):
+def element_types(q):
+    """{type tag: (fixed rational points, different exponent sum)} of M_ell's element types.
+
+    Homologies (A) fix their axis's q + 1 points, B2 two, B1 none; elations (C)
+    fix their center with exponent q + 2, elations times homologies (E) tamely.
+    """
+    return {"A": (q + 1, q + 1), "B1": (0, 0), "B2": (2, 2), "C": (1, q + 2), "E": (1, 1)}
+
+
+def quotient_data(q, order, census):
+    """Exact Fractions (g_bar, N) for a group of this order and census {tag: count}.
+
+    Nothing is checked: a list of elements that is no group gives fractions.
+    """
+    types = element_types(q)
+    fixed = sum(types[tag][0] * k for tag, k in census.items())
+    different = sum(types[tag][1] * k for tag, k in census.items())
+    # g_bar = 1 + (2 g(H_q) - 2 - different) / (2 |H|), as one fraction
+    return (Fraction(2 * order + 2 * hermitian_genus(q) - 2 - different, 2 * order),
+            Fraction(q**3 + 1 + fixed, order))
+
+
+def _census_form(q, order, census):
+    """The integral (g_bar, N) of a closed census, which must count all order - 1 elements."""
+    if sum(census.values()) != order - 1:
+        raise ValueError("a census of order %d must count %d elements" % (order, order - 1))
+    g, n = quotient_data(q, order, census)
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def _qhw(q, w, even=False):
+    """(p, h) of q = p^h, checking that q is even (or 1 mod 4) and w divides the central order."""
     p, h = prime_power(q)
-    if p != 2:
-        raise ValueError("this family needs even q, got q=%d" % q)
-    _check_divisor(w, q + 1, "w")
-    return h
-
-
-def sl2_subfield_quotient_even(q, f, w):
-    """Product of a subfield SL(2, 2^f) with the central C_w, for f dividing h."""
-    h = _even_qhw(q, w)
-    if f < 1 or h % f != 0:
-        raise ValueError("f must be a positive divisor of %d, got %r" % (h, f))
-    pf = 2**f
-    if (h // f) % 2 == 1:
-        a = gcd(pf + 1, w)
-        num = (q + 1) * (q - w - pf * (pf - 1) * a - pf) + (pf + 1) * w * (
-            pf * pf - pf + 1
-        )
-        g = Fraction(num, 2 * pf * (pf + 1) * (pf - 1) * w)
-        n = (
-            1
-            + Fraction(q - pf, pf * (pf * pf - 1))
-            + Fraction((q + 1) * a, (pf + 1) * w)
-            + Fraction((q + 1) * (q * (q - 1) - pf * (pf - 1)), pf * (pf - 1) * (pf + 1) * w)
-        )
-    else:
-        num = (q + 1) * (q - pf * pf - w) - w * (2 * pf**3 - pf * pf - 2 * pf - 1)
-        g = 1 + Fraction(num, 2 * pf * (pf + 1) * (pf - 1) * w)
-        n = (
-            2
-            + Fraction(q - pf * pf, pf * (pf * pf - 1))
-            + Fraction(q * (q - 1) * (q + 1), pf * (pf * pf - 1) * w)
-        )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def dihedral_quotient_even(q, t, w):
-    """Product of a dihedral group of order 2t, t dividing q - 1, with C_w."""
-    _even_qhw(q, w)
-    _check_divisor(t, q - 1, "t")
-    g = Fraction(q * q - q * w - q * t + w * t + w - t - 1, 4 * t * w)
-    n = Fraction(q - 1 + 3 * t, 2 * t) + Fraction(q * (q - 1) * (q + 1), 2 * t * w)
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def triangle_quotient_even(q, t, w):
-    """Group of order 2tw stabilizing a self-polar triangle, t and w dividing q + 1."""
-    _even_qhw(q, w)
-    _check_divisor(t, q + 1, "t")
-    a = gcd(t, w)
-    g = Fraction((q + 1) * (q - 2 * a - w - t + 1) + 3 * t * w, 4 * t * w)
-    n = (
-        1
-        + Fraction(q - t + 1, 2 * t)
-        + Fraction((q + 1) * a, t * w)
-        + Fraction((q + 1) ** 2 * (q - 2), 2 * t * w)
-    )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-# ---------------------------------------------------------------------------
-# Families for q = 1 mod 4.  Here w is the order of the intersection with
-# the odd central factor of order (q + 1)/2.  The split-torus extension is
-# the sl2_subfield recipe plus one element; its closed form reads
-# sl2_subfield_quotient.
-# ---------------------------------------------------------------------------
-
-
-def _odd_qhw(q, w):
-    p, h = prime_power(q)
-    if q % 4 != 1:
-        raise ValueError("this family needs q = 1 mod 4, got q=%d" % q)
-    _check_divisor(w, (q + 1) // 2, "w")
+    if p != 2 and (even or q % 4 != 1):
+        raise ValueError("q=%d: this family needs q even%s" % (q, "" if even else " or 1 mod 4"))
+    _check_divisor(w, q + 1 if p == 2 else (q + 1) // 2, "w")
     return p, h
 
 
-def sl2_five_quotient_char3(q, w):
-    """Product of SL(2,5) with the central C_w, in characteristic three."""
-    p, _ = _odd_qhw(q, w)
-    if p != 3:
-        raise ValueError("this family needs characteristic 3, got q=%d" % q)
-    if (q * q - 1) % 5 != 0:
-        raise ValueError("q^2 - 1 must be divisible by 5, got q=%d" % q)
-    if (q - 1) % 5 == 0:
-        shift = 2 * w
-        n = Fraction(q + 99, 60) + Fraction(q * (q - 1) * (q + 1), 120 * w)
-    elif w % 5 != 0:
-        shift = 0
-        n = Fraction(q + 51, 60) + Fraction(q * (q - 1) * (q + 1), 120 * w)
-    else:
-        shift = q + 1
-        n = (
-            Fraction(q + 51, 60)
-            + Fraction(q + 1, 2 * w)
-            + Fraction((q * q - q - 12) * (q + 1), 120 * w)
-        )
-    g = Fraction((q + 1) * (q - 21 - 2 * w) + 140 * w - 48 * shift, 240 * w)
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def sl2_subfield_quotient(q, k, w):
-    """Product of a subfield SL(2, p^k) with the central C_w, for k dividing h."""
-    p, h = _odd_qhw(q, w)
-    if k < 1 or h % k != 0:
-        raise ValueError("k must divide %d, got %r" % (h, k))
-    pk = p**k
-    r = h // k
-    g2 = gcd(r, 2)
-    delta = (
-        (pk * pk - 1) * (q + 2)
-        + pk * pk
-        - 1
-        + q
-        + 1
-        + pk * (pk + 1) * (pk - 3) * w
-        + pk * (pk - 1) ** 2 * (g2 - 1)
-        + 2 * (pk * pk - 1) * (w - 1)
-        + 2 * (w - 1) * (q + 1)
-        + pk * (pk - 1) ** 2 * (w - 1) * (g2 - 1)
-        + (gcd(w, pk + 1) - 1) * pk * (pk - 1) * (q + 1) * (2 - g2)
-    )
-    g = 1 + Fraction(q * q - q - 2 - delta, 2 * pk * (pk * pk - 1) * w)
-    if r % 2 == 0:
-        n = (
-            2
-            + Fraction(2 * (q - pk * pk), pk * (pk - 1) * (pk + 1))
-            + Fraction(q * (q - 1) * (q + 1), pk * (pk * pk - 1) * w)
-        )
-    else:
-        n = (
-            1
-            + Fraction(2 * (q - pk), pk * (pk * pk - 1))
-            + Fraction((q + 1) * gcd(pk + 1, w), (pk + 1) * w)
-            + Fraction((q * q - q - pk * (pk - 1)) * (q + 1), pk * (pk - 1) * (pk + 1) * w)
-        )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
-def sl2_split_ext_quotient(q, k, w):
-    """Subfield SL(2, p^k) doubled by a split torus normalizer, times C_w.
-
-    The extending element squares to a generator of the split torus of the
-    subfield group, so the extension has twice its order.  Needs h/k even.
-    Its quotient is exactly (g/2, N/2 + 1), (g, N) = sl2_subfield_quotient:
-    by Riemann-Hurwitz the double cover between the two quotients branches
-    at exactly two points, two orbits of rational points, and pairs the rest.
-    """
-    _, h = _odd_qhw(q, w)
-    if k < 1 or h % k != 0 or (h // k) % 2 != 0:
-        raise ValueError("k must divide %d with even quotient, got %r" % (h, k))
-    g, n = sl2_subfield_quotient(q, k, w)
-    return _as_count(Fraction(g, 2), "genus"), _as_count(Fraction(n, 2) + 1, "orbit count")
-
-
-def unitary_pm_quotient(q, k, w):
-    """Subfield SL(2, p^k) extended by a determinant minus-one element, times C_w.
-
-    Needs h/k odd.
-    """
-    p, h = _odd_qhw(q, w)
-    if k < 1 or h % k != 0 or (h // k) % 2 != 1:
-        raise ValueError("k must divide %d with odd quotient, got %r" % (h, k))
-    pk = p**k
-    a = gcd(pk + 1, w)
-    delta = (
-        (q + 1)
-        + pk * (pk + 1) * (pk - 3)
-        + (pk * pk - 1) * (q + 3)
-        + pk * (pk - 1) * (q + 1)
-        + pk * (pk * pk - 1)
-        + (2 * w - 2) * (q + 1)
-        + 2 * (pk * pk - 1) * (w - 1)
-        + 2 * pk * (pk + 1) * (pk - 2) * (w - 1)
-        + 2 * pk * (pk - 1) * (q + 1) * (a - 1)
-    )
-    g = 1 + Fraction(q * q - q - 2 - delta, 4 * pk * (pk * pk - 1) * w)
-    n = (
-        1
-        + Fraction(q - pk, pk * (pk - 1) * (pk + 1))
-        + Fraction((q + 1) * a, (pk + 1) * w)
-        + Fraction((q * q - q - pk * (pk - 1)) * (q + 1), 2 * pk * (pk + 1) * (pk - 1) * w)
-    )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
-
-
 def point_stabilizer_quotient(q, mu, u):
-    """Group of order mu * p^u fixing a rational curve point.
+    """Group of order mu * p^u fixing a rational curve point, in every characteristic.
 
-    The p-part is elementary abelian of order p^u inside the elation group
-    of the point, normalized by a cyclic group of order mu dividing q^2 - 1.
-    Valid for every characteristic; u = 0 gives the tame cyclic case.
+    An elation group of order p^u (C), normalized by a torus C_mu, mu | q^2 - 1,
+    of d - 1 homologies, d = gcd(mu, q + 1), and B2 elements; u = 0 is the
+    tame cyclic case.  The rest are conjugate into C_mu or elations by homologies (E).
     """
     p, h = prime_power(q)
     _check_divisor(mu, q * q - 1, "mu")
     if not 0 <= u <= h:
         raise ValueError("u must satisfy 0 <= u <= %d, got %r" % (h, u))
-    d = gcd(q + 1, mu)
-    g = Fraction((q + 1 - d) * (p ** (h - u) - 1), 2 * mu)
-    n = (
-        Fraction(q * (q * q - 1), p**u * mu)
-        + 2
-        + Fraction(d * (q - p**u), p**u * mu)
-    )
-    return _as_count(g, "genus"), _as_count(n, "orbit count")
+    d, pu = gcd(q + 1, mu), p**u
+    census = {"A": d - 1, "B2": pu * (mu - d), "C": pu - 1, "E": (d - 1) * (pu - 1)}
+    return _census_form(q, pu * mu, census)
+
+
+def _sl2_census(q, k, w):
+    """(P, h/k, order, census) of SL(2, P) x C_w for P = p^k, k dividing h.
+
+    With z = |Z(SL(2, P))| = gcd(2, q - 1), the zw - 1 central elements are
+    homologies, the P^2 - 1 unipotents elations (C), their central multiples
+    E.  The P(P + 1)(P - 1 - z)/2 split semisimple s, times c in C_w, are B2.
+    The P(P - 1)(P + 1 - z)/2 non-split s have eigenvalues x, 1/x in
+    mu_(P+1): inside GF(q) for h/k even (B2), inside mu_(q+1) for h/k odd,
+    where s c is B1 unless c x = 1, a homology: P(P - 1) for each of the
+    a - 1 elements c != 1 of C_w in mu_(P+1), a = gcd(w, P + 1).
+    """
+    p, h = _qhw(q, w)
+    if k < 1 or h % k != 0:
+        raise ValueError("k must be a positive divisor of %d, got %r" % (h, k))
+    P, z = p**k, gcd(2, q - 1)
+    central, nonsplit = z * w - 1, w * P * (P - 1) * (P + 1 - z) // 2
+    census = {"A": central, "B2": w * P * (P + 1) * (P - 1 - z) // 2,
+              "C": P * P - 1, "E": central * (P * P - 1)}
+    if (h // k) % 2 == 0:
+        census["B2"] += nonsplit
+    else:
+        homologies = (gcd(w, P + 1) - 1) * P * (P - 1)
+        census["A"] += homologies
+        census["B1"] = nonsplit - homologies
+    return P, h // k, P * (P * P - 1) * w, census
+
+
+def sl2_subfield_quotient(q, k, w):
+    """Product of a subfield SL(2, p^k), k dividing h, with the central C_w, at either parity."""
+    return _census_form(q, *_sl2_census(q, k, w)[2:])
+
+
+def sl2_split_ext_quotient(q, k, w):
+    """Subfield SL(2, p^k) doubled by a split torus normalizer, times C_w; needs odd q, h/k even.
+
+    The extending element squares to a generator of the split torus.  Its
+    coset, times C_w, has eigenvalues c x, c/x with x != +-1 in GF(p^2k),
+    inside GF(q): all B2.
+    """
+    P, r, order, census = _sl2_census(q, k, w)
+    if P % 2 == 0 or r % 2:
+        raise ValueError("k must divide h with even quotient at odd q, got q=%d, k=%r" % (q, k))
+    census["B2"] += order
+    return _census_form(q, 2 * order, census)
+
+
+def unitary_pm_quotient(q, k, w):
+    """Subfield SL(2, p^k) extended by a determinant minus-one element, times C_w; needs h/k odd.
+
+    Then SL(2, P) = SU(2, P) for P = p^k, mu_(P+1) lies in mu_(q+1), and the
+    group is the determinant +-1 part of GU(2, P) inside GU(2, q), times C_w.
+    A determinant -1 element of GU(2, P) has eigenvalues {x, -1/x}, in
+    mu_(P+1) for (P + 1)/2 pairs of P(P - 1) elements each, half the coset,
+    and else off mu_(q+1), swapped by x -> x^(-q): B2.  Times c in C_w, the
+    first half is B1 but for the homologies of pair {1/c, -c}, for each of
+    the a = gcd(w, P + 1) elements c of C_w in mu_(P+1).  The catalog builds
+    only k = h: at h/k >= 3 (q = 125, 729, ...) no group checks this census.
+    """
+    P, r, order, census = _sl2_census(q, k, w)
+    if P % 2 == 0 or r % 2 == 0:
+        raise ValueError("k must divide h with odd quotient at odd q, got q=%d, k=%r" % (q, k))
+    homologies = gcd(w, P + 1) * P * (P - 1)
+    census["A"] += homologies
+    census["B1"] += order // 2 - homologies
+    census["B2"] += order // 2
+    return _census_form(q, 2 * order, census)
+
+
+def sl2_five_quotient_char3(q, w):
+    """Product of SL(2, 5) with the central C_w, in characteristic three.
+
+    -1 and C_w give 2w - 1 homologies; the 20 elements of order 3 are
+    elations, with 20 (2w - 1) central multiples E; the 30 of order 4 have
+    eigenvalues +-sqrt(-1) in GF(q): B2.  The 48 of order 5 or 10 are B2
+    when 5 | q - 1; otherwise their eigenvalues lie in mu_(q+1), and they
+    are B1 but for the 48 homologies c x = 1 that 5 | w allows.
+    """
+    p, _ = _qhw(q, w)
+    if p != 3 or (q * q - 1) % 5 != 0:
+        raise ValueError("this family needs characteristic 3 and 5 | q^2 - 1, got q=%d" % q)
+    census = {"A": 2 * w - 1, "B2": 30 * w, "C": 20, "E": 20 * (2 * w - 1)}
+    if (q - 1) % 5 == 0:
+        census["B2"] += 48 * w
+    else:
+        homologies = 48 if w % 5 == 0 else 0
+        census["A"] += homologies
+        census["B1"] = 48 * w - homologies
+    return _census_form(q, 120 * w, census)
+
+
+def dihedral_quotient_even(q, t, w):
+    """Dihedral group of order 2t, t | q - 1, times C_w, at even q.
+
+    The w - 1 central elements are homologies, the t reflections elations.
+    """
+    _qhw(q, w, even=True)
+    _check_divisor(t, q - 1, "t")
+    census = {"A": w - 1, "B2": (t - 1) * w, "C": t, "E": t * (w - 1)}
+    return _census_form(q, 2 * t * w, census)
+
+
+def triangle_quotient_even(q, t, w):
+    """Group of order 2tw stabilizing a self-polar triangle, t and w dividing q + 1, at even q.
+
+    The t swap involutions are elations.  Of the diagonal part C_t x C_w,
+    w - 1 elements fix the chord pointwise and 2 (gcd(t, w) - 1) one of the
+    other two sides: homologies; the rest are B1.
+    """
+    _qhw(q, w, even=True)
+    _check_divisor(t, q + 1, "t")
+    homologies = w - 1 + 2 * (gcd(t, w) - 1)
+    census = {"A": homologies, "B1": t * w - 1 - homologies, "C": t, "E": t * (w - 1)}
+    return _census_form(q, 2 * t * w, census)
 
 
 # Rejected near-miss expressions, recorded so tests can demonstrate that
@@ -628,7 +593,7 @@ def point_stabilizer_quotient(q, mu, u):
 # (q and the instance parameters) where the variants disagree.
 ERRATA = {
     "sl2_two_orbit_count": {
-        "family": "sl2_subfield_quotient_even at f = 1, branch h/f odd with 3 | w",
+        "family": "sl2_subfield_quotient at k = 1, branch h/k odd with 3 | w",
         "catalog_family": "sl2_two",
         "adopted": "middle orbit term (q + 1)(q^2 - q - 2) / (6 w)",
         "rejected": "middle orbit term (q + 1)(q^2 - q - 2) / w",

@@ -24,15 +24,15 @@ B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
 (trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
 looked up after that.  A census counts nonidentity elements by type, one
 classify call each; a Subgroup keeps its own, and its tame genus and Burnside
-orbit average are sums over it.  Orbit counting memoizes each distinct
-generator's cycle labels on the context, one read-only 2-byte array per
-generator, so a generator shared by many subgroups is mapped to its point
+orbit average come from formulas.quotient_data.  Orbit counting memoizes each
+distinct generator's cycle labels on the context, one read-only 2-byte array
+per generator, so a generator shared by many subgroups is mapped to its point
 permutation once per q; a count starts from a copy of the first generator's
 labels and hooks in each later generator's edges only while they join two
-different roots.  The chord frame is a basis change P taking the basis
-to R0 and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]];
-frame_element conjugates a matrix preserving J into the chord element it stands
-for, and the inventory is built that way.
+different roots.  The chord frame is a basis change P taking the basis to R0
+and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]]; frame_element
+conjugates a matrix preserving J into the chord element it stands for, and the
+inventory is built that way.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .formulas import hermitian_genus, prime_power
+from .formulas import element_types, prime_power, quotient_data
 from .gf import _NP_TABLE_LIMIT, np, roots_of_unity
 from .hermitian import hermitian_points
 
@@ -329,7 +329,7 @@ class MlContext:
         the traces of those pairs, a root of each and whether it is double.
         """
         q, F = self.q, self.F
-        self.fix_h = {"A": q + 1, "B1": 0, "B2": 2, "C": 1, "E": 1}
+        self.fix_h = {tag: fix for tag, (fix, _) in element_types(q).items()}
         A, B1, B2, C, E = (ElementType(tag, fix) for tag, fix in self.fix_h.items())
         on_mu = F.np_pow_vec(q + 1) == 1  # by code; 0 is in neither root set
         swapped = F.np_pow_vec(1 - q)
@@ -353,7 +353,7 @@ class MlContext:
     def census(self, elements):
         """The nonidentity elements counted by type tag, with one classify call each.
 
-        A group's fixed-point sums are sums of fix_h[tag] times its census counts.
+        formulas.quotient_data turns it into a quotient genus and an orbit count.
         """
         return Counter(self.classify(g).tag for g in elements if g != self.identity)
 
@@ -362,15 +362,12 @@ class MlContext:
         n = census.total() + 1  # the census leaves out the identity
         if n % self.p == 0:
             raise ValueError("group order is divisible by p; quotient is not tame")
-        fixed = sum(self.fix_h[tag] * k for tag, k in census.items())
-        num = 2 * hermitian_genus(self.q) - 2 - fixed
-        quo, rem = divmod(num, 2 * n)
-        if rem:
+        g_bar = quotient_data(self.q, n, census)[0]
+        if g_bar.denominator != 1:
             raise AssertionError("tame genus is not an integer")
-        g_bar = 1 + quo
         if g_bar < 0:
             raise AssertionError("negative tame genus")
-        return g_bar
+        return int(g_bar)
 
     # -- the chord frame and the standard subgroup inventory ---------------------
 

@@ -6,9 +6,9 @@ the code it checks and the package holds only what the pipeline runs:
 * point normalization and curve membership on projective triples;
 * the canonical subfield embedding between two finite fields;
 * the genus of K_n itself, the subfield genus bound, the orbit count a
-  tame quotient genus forces, the split-torus extension's closed form
-  written out term by term, and the rejected orbit-count variants
-  recorded in formulas.ERRATA;
+  tame quotient genus forces, every closed form of formulas written out
+  as the (g_bar, N) polynomials that its census replaces, and the rejected
+  orbit-count variants recorded in formulas.ERRATA;
 * both lifting rules in Fraction arithmetic, against which the integer
   lifts of formulas are checked;
 * the M_ell product and the type lookup by scalar field calls, M_ell
@@ -32,8 +32,6 @@ import numpy as np
 from gk2genus.formulas import (
     _as_count,
     _check_divisor,
-    _even_qhw,
-    _odd_qhw,
     hermitian_genus,
     lift_genus,
     m_of,
@@ -167,11 +165,85 @@ def n_orbits_tame(q, group_order, quot_genus):
     return _as_count(Fraction(total, group_order), "orbit count")
 
 
+# The closed forms of formulas, each with its genus and orbit-count polynomials
+# written out term by term instead of read from the family's census.  They
+# take the same arguments and skip the parameter checks.
+
+
+def point_stabilizer_quotient_direct(q, mu, u):
+    """formulas.point_stabilizer_quotient, written out."""
+    p, h = prime_power(q)
+    d = math.gcd(q + 1, mu)
+    g = Fraction((q + 1 - d) * (p ** (h - u) - 1), 2 * mu)
+    n = Fraction(q * (q * q - 1), p**u * mu) + 2 + Fraction(d * (q - p**u), p**u * mu)
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def _sl2_subfield_even_direct(q, f, w):
+    h = prime_power(q)[1]
+    pf = 2**f
+    if (h // f) % 2 == 1:
+        a = math.gcd(pf + 1, w)
+        num = (q + 1) * (q - w - pf * (pf - 1) * a - pf) + (pf + 1) * w * (pf * pf - pf + 1)
+        g = Fraction(num, 2 * pf * (pf + 1) * (pf - 1) * w)
+        n = (
+            1
+            + Fraction(q - pf, pf * (pf * pf - 1))
+            + Fraction((q + 1) * a, (pf + 1) * w)
+            + Fraction((q + 1) * (q * (q - 1) - pf * (pf - 1)), pf * (pf - 1) * (pf + 1) * w)
+        )
+    else:
+        num = (q + 1) * (q - pf * pf - w) - w * (2 * pf**3 - pf * pf - 2 * pf - 1)
+        g = 1 + Fraction(num, 2 * pf * (pf + 1) * (pf - 1) * w)
+        n = (
+            2
+            + Fraction(q - pf * pf, pf * (pf * pf - 1))
+            + Fraction(q * (q - 1) * (q + 1), pf * (pf * pf - 1) * w)
+        )
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def sl2_subfield_quotient_direct(q, k, w):
+    """formulas.sl2_subfield_quotient, written out: one polynomial per parity of q."""
+    p, h = prime_power(q)
+    if p == 2:
+        return _sl2_subfield_even_direct(q, k, w)
+    pk = p**k
+    r = h // k
+    g2 = math.gcd(r, 2)
+    delta = (
+        (pk * pk - 1) * (q + 2)
+        + pk * pk
+        - 1
+        + q
+        + 1
+        + pk * (pk + 1) * (pk - 3) * w
+        + pk * (pk - 1) ** 2 * (g2 - 1)
+        + 2 * (pk * pk - 1) * (w - 1)
+        + 2 * (w - 1) * (q + 1)
+        + pk * (pk - 1) ** 2 * (w - 1) * (g2 - 1)
+        + (math.gcd(w, pk + 1) - 1) * pk * (pk - 1) * (q + 1) * (2 - g2)
+    )
+    g = 1 + Fraction(q * q - q - 2 - delta, 2 * pk * (pk * pk - 1) * w)
+    if r % 2 == 0:
+        n = (
+            2
+            + Fraction(2 * (q - pk * pk), pk * (pk - 1) * (pk + 1))
+            + Fraction(q * (q - 1) * (q + 1), pk * (pk * pk - 1) * w)
+        )
+    else:
+        n = (
+            1
+            + Fraction(2 * (q - pk), pk * (pk * pk - 1))
+            + Fraction((q + 1) * math.gcd(pk + 1, w), (pk + 1) * w)
+            + Fraction((q * q - q - pk * (pk - 1)) * (q + 1), pk * (pk - 1) * (pk + 1) * w)
+        )
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
 def sl2_split_ext_quotient_direct(q, k, w):
-    """formulas.sl2_split_ext_quotient, with its genus polynomial written out."""
-    p, h = _odd_qhw(q, w)
-    if k < 1 or h % k != 0 or (h // k) % 2 != 0:
-        raise ValueError("k must divide %d with even quotient, got %r" % (h, k))
+    """formulas.sl2_split_ext_quotient, written out."""
+    p, h = prime_power(q)
     pk = p**k
     delta = (
         (pk * pk - 1) * (q + 2)
@@ -195,6 +267,70 @@ def sl2_split_ext_quotient_direct(q, k, w):
     return _as_count(g, "genus"), _as_count(n, "orbit count")
 
 
+def unitary_pm_quotient_direct(q, k, w):
+    """formulas.unitary_pm_quotient, written out."""
+    pk = prime_power(q)[0] ** k
+    a = math.gcd(pk + 1, w)
+    delta = (
+        (q + 1)
+        + pk * (pk + 1) * (pk - 3)
+        + (pk * pk - 1) * (q + 3)
+        + pk * (pk - 1) * (q + 1)
+        + pk * (pk * pk - 1)
+        + (2 * w - 2) * (q + 1)
+        + 2 * (pk * pk - 1) * (w - 1)
+        + 2 * pk * (pk + 1) * (pk - 2) * (w - 1)
+        + 2 * pk * (pk - 1) * (q + 1) * (a - 1)
+    )
+    g = 1 + Fraction(q * q - q - 2 - delta, 4 * pk * (pk * pk - 1) * w)
+    n = (
+        1
+        + Fraction(q - pk, pk * (pk - 1) * (pk + 1))
+        + Fraction((q + 1) * a, (pk + 1) * w)
+        + Fraction((q * q - q - pk * (pk - 1)) * (q + 1), 2 * pk * (pk + 1) * (pk - 1) * w)
+    )
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def sl2_five_quotient_char3_direct(q, w):
+    """formulas.sl2_five_quotient_char3, written out: one branch per 5 | q - 1 and 5 | w."""
+    if (q - 1) % 5 == 0:
+        shift = 2 * w
+        n = Fraction(q + 99, 60) + Fraction(q * (q - 1) * (q + 1), 120 * w)
+    elif w % 5 != 0:
+        shift = 0
+        n = Fraction(q + 51, 60) + Fraction(q * (q - 1) * (q + 1), 120 * w)
+    else:
+        shift = q + 1
+        n = (
+            Fraction(q + 51, 60)
+            + Fraction(q + 1, 2 * w)
+            + Fraction((q * q - q - 12) * (q + 1), 120 * w)
+        )
+    g = Fraction((q + 1) * (q - 21 - 2 * w) + 140 * w - 48 * shift, 240 * w)
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def dihedral_quotient_even_direct(q, t, w):
+    """formulas.dihedral_quotient_even, written out."""
+    g = Fraction(q * q - q * w - q * t + w * t + w - t - 1, 4 * t * w)
+    n = Fraction(q - 1 + 3 * t, 2 * t) + Fraction(q * (q - 1) * (q + 1), 2 * t * w)
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
+def triangle_quotient_even_direct(q, t, w):
+    """formulas.triangle_quotient_even, written out."""
+    a = math.gcd(t, w)
+    g = Fraction((q + 1) * (q - 2 * a - w - t + 1) + 3 * t * w, 4 * t * w)
+    n = (
+        1
+        + Fraction(q - t + 1, 2 * t)
+        + Fraction((q + 1) * a, t * w)
+        + Fraction((q + 1) ** 2 * (q - 2), 2 * t * w)
+    )
+    return _as_count(g, "genus"), _as_count(n, "orbit count")
+
+
 def unitary_pm_orbit_count_rejected(q, k, w):
     """Rejected orbit-count variant: fixed term (q + 1) a / w; see ERRATA."""
     _, adopted = unitary_pm_quotient(q, k, w)
@@ -206,7 +342,7 @@ def unitary_pm_orbit_count_rejected(q, k, w):
 
 def sl2_five_orbit_count_rejected(q, w):
     """Rejected orbit-count variant for the 5 | (q^2 - 1) branches; see ERRATA."""
-    p, _ = _odd_qhw(q, w)
+    p, _ = prime_power(q)
     if p != 3 or w % 5 == 0:
         raise ValueError("the rejected variant applies only for p = 3 and 5 not dividing w")
     head = Fraction(q + 99, 60) if (q - 1) % 5 == 0 else Fraction(q + 51, 60)
@@ -216,8 +352,8 @@ def sl2_five_orbit_count_rejected(q, w):
 
 def sl2_two_orbit_count_rejected(q, w):
     """Rejected orbit-count variant for the h odd, 3 | w branch; see ERRATA."""
-    h = _even_qhw(q, w)
-    if h % 2 == 0 or w % 3 != 0:
+    p, h = prime_power(q)
+    if p != 2 or h % 2 == 0 or w % 3 != 0:
         raise ValueError("the rejected variant applies only for h odd and 3 | w")
     n = Fraction(q + 4, 6) + Fraction((q + 1) * (q * q - q - 2), w) + Fraction(q + 1, w)
     return _as_count(n, "orbit count")

@@ -1,6 +1,7 @@
 """Tests for the subgroup family catalog of the chord stabilizer."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from sympy import divisors
@@ -393,6 +394,34 @@ def test_closed_forms_cover_the_wild_instances_and_the_torus_cyclics():
                 assert has_form == (not inst.tame or inst.family == "torus_cyclic"), inst.label()
     finally:
         enumerate_instances.cache_clear()
+
+
+def test_closed_census_equals_the_oracle_census(monkeypatch):
+    # every closed form hands formulas.quotient_data its family's census in
+    # closed form: it must count the built subgroup's elements type for type
+    handed, real = [], formulas.quotient_data
+
+    def recording(q, order, census):
+        handed.append((order, Counter(census)))
+        return real(q, order, census)
+
+    monkeypatch.setattr(formulas, "quotient_data", recording)
+    checked = 0
+    for q in INSTANTIATED_Q:
+        ctx = ml_context(q)
+        for inst in enumerate_instances(q):
+            handed.clear()
+            if inst.genus_orbits() is None:
+                continue
+            ((order, closed),) = handed
+            sub = instantiate(inst)
+            if isinstance(sub, DetPreimage):
+                oracle = ctx.census(g for g in ctx.iter_elements() if g in sub)
+            else:
+                oracle = sub.census
+            assert order == sub.order and closed == oracle, inst.label()
+            checked += 1
+    assert checked == 273
 
 
 @pytest.mark.parametrize("q", INSTANTIATED_Q)

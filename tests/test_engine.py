@@ -263,6 +263,25 @@ def test_verify_all_fails_a_fractional_burnside_average(monkeypatch, cold_engine
     assert rep["passed"] is False
 
 
+def test_a_non_group_element_list_fails_the_tame_orbit_identity(monkeypatch):
+    # two B2 and four B1 elements with the identity at q = 5 are no group:
+    # their tame genus 1 + (18 - 4)/14 = 2 is an integer, but their fixed
+    # points average (126 + 4)/7 = 130/7, which no orbit count equals
+    ctx = ml_context(5)
+    by_tag = {"B1": [], "B2": []}
+    for g in ctx.iter_elements():
+        if g != ctx.identity:
+            by_tag.get(ctx.classify(g).tag, []).append(g)
+    elements = [ctx.identity] + by_tag["B2"][:2] + by_tag["B1"][:4]
+    fake = Subgroup(ctx, elements[1:], elements)
+    target = next(inst for inst in enumerate_instances(5) if inst.tame)
+    monkeypatch.setattr(engine, "instantiate", lambda inst: fake)
+    row = engine._certify(target)
+    assert row.g_bar == 2
+    assert row.mismatch == ("tame-orbit-identity", "130/7", row.n_orbits)
+    assert dict(row.checks)["burnside_ok"] is False
+
+
 def test_verify_all_rejections():
     rep = verify_all(7)
     assert rep["rejected"] and not rep["passed"]

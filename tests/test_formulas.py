@@ -15,16 +15,33 @@ from gk2genus.catalog import enumerate_instances
 from gk2genus.engine import spectrum
 from gk2genus.golden import GOLDEN_ROWS
 from reference import (
+    dihedral_quotient_even_direct,
     genus_upper_bound,
     kn_genus,
     lift_genus_fraction,
     lift_genus_tame_fraction,
     n_orbits_tame,
+    point_stabilizer_quotient_direct,
     sl2_five_orbit_count_rejected,
+    sl2_five_quotient_char3_direct,
     sl2_split_ext_quotient_direct,
+    sl2_subfield_quotient_direct,
     sl2_two_orbit_count_rejected,
+    triangle_quotient_even_direct,
     unitary_pm_orbit_count_rejected,
+    unitary_pm_quotient_direct,
 )
+
+# each public closed form of formulas, and its (g_bar, N) polynomials written out
+DIRECT_FORMS = {
+    "point_stabilizer_quotient": point_stabilizer_quotient_direct,
+    "sl2_subfield_quotient": sl2_subfield_quotient_direct,
+    "sl2_split_ext_quotient": sl2_split_ext_quotient_direct,
+    "unitary_pm_quotient": unitary_pm_quotient_direct,
+    "sl2_five_quotient_char3": sl2_five_quotient_char3_direct,
+    "dihedral_quotient_even": dihedral_quotient_even_direct,
+    "triangle_quotient_even": triangle_quotient_even_direct,
+}
 
 
 def divisors(n):
@@ -282,7 +299,7 @@ def test_sl2_two_quotient_values():
 def test_sl2_two_rejected_variant_disagrees():
     info = fm.ERRATA["sl2_two_orbit_count"]
     q, w = info["witness"]["q"], info["witness"]["w"]
-    _, adopted = fm.sl2_subfield_quotient_even(q, 1, w)
+    _, adopted = fm.sl2_subfield_quotient(q, 1, w)
     rejected = sl2_two_orbit_count_rejected(q, w)
     assert adopted == info["witness"]["adopted_n"]
     assert rejected == info["witness"]["rejected_n"]
@@ -311,7 +328,7 @@ def test_alt5_matches_subfield_family():
     # alt5 is SL(2, 4): the subfield family at k = 2
     for q in [4, 16, 64, 256]:
         for w in divisors(q + 1):
-            assert closed_form("alt5", q, w=w) == fm.sl2_subfield_quotient_even(q, 2, w)
+            assert closed_form("alt5", q, w=w) == fm.sl2_subfield_quotient(q, 2, w)
 
 
 def test_alt4_matches_elation_semidirect():
@@ -368,10 +385,9 @@ def test_sl2_split_ext_quotient_values():
 
 
 def test_sl2_split_ext_quotient_matches_direct_form():
-    # The folded form (g/2, N/2 + 1) of sl2_subfield_quotient equals the
-    # split extension's own polynomial at every q = 1 (mod 4) up to 2^20,
-    # k | h with h/k even, and w | (q + 1)/2.  h/k even makes q = p^h an
-    # odd square, so q = 1 (mod 4) holds by itself.
+    # The census form equals the split extension's written-out polynomial at
+    # every q = 1 (mod 4) up to 2^20, k | h with h/k even, and w | (q + 1)/2.
+    # h/k even makes q = p^h an odd square, so q = 1 (mod 4) holds by itself.
     checked = 0
     for p in primerange(3, 2**10):
         h = 2
@@ -437,11 +453,11 @@ def test_triangle_quotient_even_values():
 
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
-        fm.sl2_subfield_quotient_even(5, 1, 1)
+        fm.sl2_subfield_quotient(7, 1, 1)
     with pytest.raises(ValueError):
-        fm.sl2_subfield_quotient_even(8, 2, 1)
+        fm.sl2_subfield_quotient(8, 2, 1)
     with pytest.raises(ValueError):
-        fm.sl2_subfield_quotient_even(4, 0, 1)
+        fm.sl2_subfield_quotient(4, 0, 1)
     # C_5 does not normalize an elation group of order 4 at q = 4
     assert not has_instance("elation_semidirect", 4, f=2, d=5, w=1)
     with pytest.raises(ValueError):
@@ -461,20 +477,24 @@ SWEEP_ODD_BOUND = 2000
 def test_every_even_family_is_integral_in_range(monkeypatch):
     # Every wild catalog instance at every even q up to 2^20, and at the
     # q = 1 (mod 4) prime powers below SWEEP_ODD_BOUND, has an integral closed
-    # form; and between them they call every public closed form in formulas,
-    # so none is left unreachable and no family loses its dispatch.
+    # form equal to its written-out polynomial; and between them they call
+    # every public closed form in formulas, so none is left unreachable and
+    # no family loses its dispatch.
     called = set()
 
-    def recording(name, form):
+    def checked(name, form):
         def wrapper(*args):
             called.add(name)
-            return form(*args)
+            closed = form(*args)
+            assert closed == DIRECT_FORMS[name](*args), (name, args)
+            return closed
         return wrapper
 
     forms = {name for name, fn in vars(fm).items()
              if "_quotient" in name and not name.startswith("_") and callable(fn)}
+    assert forms == set(DIRECT_FORMS)
     for name in forms:
-        monkeypatch.setattr(fm, name, recording(name, getattr(fm, name)))
+        monkeypatch.setattr(fm, name, checked(name, getattr(fm, name)))
     odd = [q for q in range(5, SWEEP_ODD_BOUND, 4) if len(factorint(q)) == 1]
     swept = 0
     for q in [2**h for h in range(1, 21)] + odd:
@@ -488,22 +508,30 @@ def test_every_even_family_is_integral_in_range(monkeypatch):
 
 
 def test_every_odd_family_is_integral_in_range():
+    # each closed form equals its written-out polynomial, the point
+    # stabilizers at every (mu, u), realized or not
+    def same(name, *args):
+        assert getattr(fm, name)(*args) == DIRECT_FORMS[name](*args), (name, args)
+
     for q in [5, 9, 13, 25, 29, 49]:
         p, h = fm.prime_power(q)
         for w in divisors((q + 1) // 2):
             for k in divisors(h):
-                fm.sl2_subfield_quotient(q, k, w)
+                same("sl2_subfield_quotient", q, k, w)
                 if (h // k) % 2 == 0:
-                    fm.sl2_split_ext_quotient(q, k, w)
+                    same("sl2_split_ext_quotient", q, k, w)
                 else:
-                    fm.unitary_pm_quotient(q, k, w)
+                    same("unitary_pm_quotient", q, k, w)
             if p == 3 and (q * q - 1) % 5 == 0:
-                fm.sl2_five_quotient_char3(q, w)
+                same("sl2_five_quotient_char3", q, w)
         for mu in divisors(q * q - 1):
             for u in range(0, h + 1):
                 try:
-                    fm.point_stabilizer_quotient(q, mu, u)
+                    expected = DIRECT_FORMS["point_stabilizer_quotient"](q, mu, u)
                 except ValueError:
                     # Non-integral orbit counts mark combinations that no
                     # actual subgroup realizes; they are filtered upstream.
-                    pass
+                    with pytest.raises(ValueError):
+                        fm.point_stabilizer_quotient(q, mu, u)
+                else:
+                    assert fm.point_stabilizer_quotient(q, mu, u) == expected
