@@ -530,7 +530,7 @@ def instantiate(inst):
     if set(ctx.s_ell_gens) <= set(gens):
         sub = DetPreimage(ctx, gens)
     else:
-        els = closure(gens, ctx.compose, ctx.identity, maxsize=4 * inst.order + 16)
+        els = closure(ctx, gens, maxsize=4 * inst.order + 16)
         sub = Subgroup(ctx, gens, els)
     if sub.order != inst.order:
         raise RecipeError(

@@ -587,29 +587,35 @@ def triangle_quotient_even(q, t, w):
     return _census_form(q, 2 * t * w, census)
 
 
-# Rejected near-miss expressions, recorded so tests can demonstrate that
-# they contradict the brute-force orbit counts.  Each entry records the
-# closed form, the catalog family it serves, the adopted form, and a witness
-# (q and the instance parameters) where the variants disagree.
+# Rejected near-miss orbit counts, recorded so tests can show that they
+# contradict the brute-force orbit counts.  Each entry names the closed form
+# and the catalog family it serves, the adopted count, the rejected one, and a
+# witness (q and the instance parameters) where the two disagree.  The adopted
+# count is the N that quotient_data gives from the closed form's census; the
+# rejected one is that count written out as a polynomial with one wrong term,
+# the term both strings quote.
 ERRATA = {
     "sl2_two_orbit_count": {
-        "family": "sl2_subfield_quotient at k = 1, branch h/k odd with 3 | w",
+        "family": "sl2_subfield_quotient at k = 1, h odd and 3 | w",
         "catalog_family": "sl2_two",
-        "adopted": "middle orbit term (q + 1)(q^2 - q - 2) / (6 w)",
+        "adopted": "N of the census of SL(2, 2) x C_w, whose middle orbit term is "
+                   "(q + 1)(q^2 - q - 2) / (6 w)",
         "rejected": "middle orbit term (q + 1)(q^2 - q - 2) / w",
         "witness": {"q": 8, "w": 9, "adopted_n": 12, "rejected_n": 57},
     },
     "unitary_pm_orbit_count": {
         "family": "unitary_pm_quotient",
         "catalog_family": "unitary_pm",
-        "adopted": "fixed-set orbit term (q + 1) gcd(p^k + 1, w) / ((p^k + 1) w)",
+        "adopted": "N of the census of the determinant +-1 part of GU(2, p^k) times C_w, whose "
+                   "fixed-set orbit term is (q + 1) gcd(p^k + 1, w) / ((p^k + 1) w)",
         "rejected": "fixed-set orbit term (q + 1) gcd(p^k + 1, w) / w",
         "witness": {"q": 9, "k": 2, "w": 1, "adopted_n": 2, "rejected_n": 11},
     },
     "sl2_five_orbit_count": {
-        "family": "sl2_five_quotient_char3, branches with 5 not dividing w",
+        "family": "sl2_five_quotient_char3, 5 not dividing w",
         "catalog_family": "sl2_five",
-        "adopted": "long orbit term (q^3 - q) / (120 w)",
+        "adopted": "N of the census of SL(2, 5) x C_w, whose long orbit term is "
+                   "(q^3 - q) / (120 w)",
         "rejected": "long orbit term (q^3 - q) / (15 w)",
         "witness": {"q": 9, "w": 1, "adopted_n": 7, "rejected_n": 49},
     },

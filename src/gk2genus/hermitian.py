@@ -59,13 +59,13 @@ class HermitianPointSet:
                 pts.append((xc, yc, 1))
         self.points = pts
         self._tables = (base.ravel(), offset.ravel(), key.ravel(), want.ravel())
-        self._np = tuple(np.array(pts, dtype=np.int32).T.copy())
+        self._np = tuple(np.array(pts, dtype=np.intp).T.copy())
 
     def __len__(self):
         return len(self.points)
 
     def np_coords(self):
-        """(X, Y, Z) coordinate arrays for vectorized orbit work."""
+        """(X, Y, Z) coordinate arrays for vectorized orbit work, intp so np.take reads them as is."""
         return self._np
 
     def lookup(self, xa, ya, za):
@@ -73,9 +73,9 @@ class HermitianPointSet:
         base, offset, key, want = self._tables
         row = za * self.F.card
         xr, yr = row + xa, row + ya
-        if not np.array_equal(key[yr], want[xr]):
+        if not np.array_equal(key.take(yr), want.take(xr)):
             raise KeyError("some coordinates are not curve points")
-        return base[xr] + offset[yr]
+        return base.take(xr) + offset.take(yr)
 
 
 @lru_cache(maxsize=None)

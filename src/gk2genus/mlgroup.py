@@ -18,7 +18,14 @@ product and sum tables are built once, as flat array("H") tables mul_flat and
 add_flat indexed a * card + b: compose, inverse and classify look up each
 field product and sum there, with no FieldCtx call, and MUL and ADD are
 read-only card x card uint16 numpy views of the same two buffers for the
-vectorized point work, so the context keeps one copy of each.  An element's type
+vectorized point work, so the context keeps one copy of each.  closure builds a
+subgroup by Dimino's right cosets; right_products reads, once per element of
+the subgroup closed so far, the five table offsets of compose that depend on
+the left factor, so each coset product is five flat reads.  The point work,
+perm_of, the cycle labels and the orbit hooking, gathers with np.take from
+1-D uint16 views; the index arrays it reuses on every call, the point
+coordinates X, Y and Z and the inverse table INV, are intp, built once per q,
+so numpy does not convert them per gather.  An element's type
 is its fixed-point geometry, a function of the eigenvalues of the chord block
 B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
 (trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
@@ -44,61 +51,78 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .formulas import element_types, prime_power, quotient_data
-from .gf import _NP_TABLE_LIMIT, np, roots_of_unity
+from .gf import _NP_TABLE_LIMIT, make_field, np, roots_of_unity
 from .hermitian import hermitian_points
 
 ML_CLOSURE_LIMIT = 2**22
 
 
-def closure(gens, mul, identity, maxsize=ML_CLOSURE_LIMIT):
-    """The finite group generated by gens, as a set of hashable elements.
+def closure(ctx, gens, maxsize=ML_CLOSURE_LIMIT):
+    """The finite group generated by gens in ctx, as a set of hashable elements.
 
     Dimino's algorithm: the group H closed so far grows by whole right
-    cosets H*y, so each new element costs one product.  Raises ValueError
-    once the element count passes maxsize: exactly when |<gens>| > maxsize.
+    cosets H*y, so each new element costs one product.  ctx supplies
+    identity, compose for the coset representatives, and right_products(E),
+    the function y -> [h*y for h in E], which each stage calls once with
+    the nonidentity elements of H.  Raises ValueError once the element
+    count passes maxsize: exactly when |<gens>| > maxsize.
     """
     els = set()
 
-    def add_coset(sub, y):
+    def add_coset(times, y):
         els.add(y)
-        els.update([mul(h, y) for h in sub])
+        els.update(times(y))
         if len(els) > maxsize:
             raise ValueError("closure exceeded %d elements" % maxsize)
 
-    add_coset((), identity)  # the trivial group
+    identity = ctx.identity
+    add_coset(ctx.right_products(()), identity)  # the trivial group
     used = []
     for g in gens:
         if g in els:
             continue
         used.append(g)
-        sub = [h for h in els if h != identity]  # H \ {1}: 1*y costs no product
-        add_coset(sub, g)
+        times = ctx.right_products([h for h in els if h != identity])  # 1*y costs no product
+        add_coset(times, g)
         # els is a union of cosets of H, so one element outside it starts a
         # new coset; every coset is reached as a representative times the
         # generators added so far
         reps = [g]
         for x in reps:
             for s in used:
-                y = mul(x, s)
+                y = ctx.compose(x, s)
                 if y not in els:
-                    add_coset(sub, y)
+                    add_coset(times, y)
                     reps.append(y)
     return els
 
 
 def _cycle_minima(perm):
-    """For each index, the smallest index on its cycle of perm.
+    """For each index, the smallest index on its cycle of perm, as uint16.
 
     Pointer doubling: after k rounds m[i] is the minimum over i, perm(i),
     ..., perm^(2^k - 1)(i), so about log2(longest cycle) rounds suffice.
     Once a round changes nothing, every window already covers its cycle.
+    The labels are 2 bytes each, which holds every index at the q <= 32 of
+    MlContext (at most 32,769 points); perm is an intp array.
     """
-    m = np.arange(len(perm))
+    m = np.arange(len(perm), dtype=np.uint16)
     while True:
-        lower = np.minimum(m, m[perm])
+        lower = np.minimum(m, m.take(perm))
         if np.array_equal(lower, m):
             return m
-        m, perm = lower, perm[perm]
+        m, perm = lower, perm.take(perm)
+
+
+def _flat_offsets(codes, card):
+    """codes * card as intp offsets into a flat card x card table.
+
+    The product is widened by its dtype, not by the scalar: a uint16 array
+    times a card that fits in 16 bits stays uint16, and wraps once card >
+    256, under numpy 1.x value-based casting for any integer scalar and
+    under NEP 50 for a Python int.
+    """
+    return np.multiply(codes, card, dtype=np.intp)
 
 
 def _read_only_square(flat, card):
@@ -146,9 +170,16 @@ class MlContext:
                 % (q, math.isqrt(_NP_TABLE_LIMIT))
             )
         self.q = q
-        self.pts = hermitian_points(q)
-        self.F = F = self.pts.F
+        self.F = F = make_field(self.p, 2 * self.h)
         self.card = F.card
+        # the dense tables first: the curve points and their coordinate
+        # arrays are then built after the tables' card x card temporaries
+        # are freed, not on top of them
+        self.mul_flat = array("H", F.np_mul_table().tobytes())
+        self.add_flat = array("H", F.np_add_table().tobytes())
+        self.MUL = _read_only_square(self.mul_flat, F.card)
+        self.ADD = _read_only_square(self.add_flat, F.card)
+        self.pts = hermitian_points(q)
         self.mu = roots_of_unity(F, q + 1)
         self.eps = self.mu[1]
         self.identity = (1, 0, 1)
@@ -157,12 +188,8 @@ class MlContext:
         # S_ell = the determinant-1 part, isomorphic to SL(2,q): (a, c, 1) with
         # a^(q+1) - c^(q+1) = 1, which are exactly the affine curve points (x, y, 1)
         self.s_ell = self.pts.points[self.pts.chord_count:]
-        self.mul_flat = array("H", F.np_mul_table().tobytes())
-        self.add_flat = array("H", F.np_add_table().tobytes())
-        self.MUL = _read_only_square(self.mul_flat, F.card)
-        self.ADD = _read_only_square(self.add_flat, F.card)
         self.minus_one = F.neg(1)
-        self.INV = F.np_pow_vec(-1)
+        self.INV = F.np_pow_vec(-1).astype(np.intp)
         self.X, self.Y, self.Z = self.pts.np_coords()
         self._cycle_heads = {}
         self._build_type_table()
@@ -182,6 +209,28 @@ class MlContext:
             self.add_flat[mul[c1 * n + a2] * n + mul[v + c2]],
             mul[t + t2],
         )
+
+    def right_products(self, elements):
+        """The function y -> [h*y for h in elements], each product as compose makes it.
+
+        compose's five table offsets that depend on h alone (a, c, the rows
+        of t c^q and t a^q, and t) are read once per h here, so a product
+        costs five flat reads of mul_flat and two of add_flat.
+        """
+        n, mul, add, frobq = self.card, self.mul_flat, self.add_flat, self.frobq
+        rows = []
+        for a, c, t in elements:
+            t *= n
+            rows.append((a * n, mul[t + frobq[c]] * n, c * n, mul[t + frobq[a]] * n, t))
+
+        def times(y):
+            a, c, t = y
+            return [
+                (add[mul[ra + a] * n + mul[u + c]], add[mul[rc + a] * n + mul[v + c]], mul[rt + t])
+                for ra, u, rc, v, rt in rows
+            ]
+
+        return times
 
     def inverse(self, g):
         a, c, t = g
@@ -239,13 +288,16 @@ class MlContext:
         row = t * self.card
         u = self.mul_flat[row + self.frobq[c]]
         v = self.mul_flat[row + self.frobq[a]]
-        MUL, ADD = self.MUL, self.ADD
-        Xi = ADD[MUL[a, self.X], MUL[u, self.Y]]
-        Yi = ADD[MUL[c, self.X], MUL[v, self.Y]]
+        # np.take from the flat tables by the intp X, Y and INV: a sum x + y
+        # sits at x * card + y, so the card-long rows of a and c are scaled
+        # to intp offsets before the point-long gathers
+        MUL, mul, add, card = self.MUL, self.MUL.ravel(), self.ADD.ravel(), self.card
+        Xi = add.take(_flat_offsets(MUL[a], card).take(self.X) + MUL[u].take(self.Y))
+        Yi = add.take(_flat_offsets(MUL[c], card).take(self.X) + MUL[v].take(self.Y))
         # affine points keep z = 1 and need no rescale; chord points rescale to y = 1
         nch = self.pts.chord_count
-        s = self.INV[Yi[:nch]]
-        Xi[:nch] = MUL[Xi[:nch], s]
+        s = self.INV.take(Yi[:nch])
+        Xi[:nch] = mul.take(_flat_offsets(Xi[:nch], card) + s)
         Yi[:nch] = 1
         return Xi, Yi, self.Z
 
@@ -272,7 +324,7 @@ class MlContext:
             return self.q + 1, self.q**3 - self.q
         lab = self._heads(gens[0]).astype(np.intp)  # every label is a root: lab[lab] == lab
         for g in gens[1:]:
-            a, b = lab, lab[self._heads(g)]
+            a, b = lab, lab.take(self._heads(g))
             while True:
                 split = a != b
                 a, b = a[split], b[split]
@@ -281,11 +333,11 @@ class MlContext:
                 # every write lowers a root, whichever of several wins
                 lab[np.maximum(a, b)] = np.minimum(a, b)
                 while True:
-                    jumped = lab[lab]
+                    jumped = lab.take(lab)
                     if np.array_equal(jumped, lab):
                         break
                     lab = jumped
-                a, b = lab[a], lab[b]
+                a, b = lab.take(a), lab.take(b)
         roots = lab == np.arange(len(lab))
         nch = self.pts.chord_count
         return int(np.count_nonzero(roots[:nch])), int(np.count_nonzero(roots[nch:]))
@@ -294,7 +346,7 @@ class MlContext:
         """g's memoized cycle labels: each point's smallest index on its g-cycle."""
         heads = self._cycle_heads.get(g)
         if heads is None:
-            heads = _cycle_minima(self.perm_of(g)).astype(np.uint16)
+            heads = _cycle_minima(self.perm_of(g))
             heads.flags.writeable = False
             self._cycle_heads[g] = heads
         return heads
@@ -472,7 +524,7 @@ class Subgroup:
 
     @classmethod
     def from_closure(cls, ctx, gens):
-        return cls(ctx, gens, closure(gens, ctx.compose, ctx.identity))
+        return cls(ctx, gens, closure(ctx, gens))
 
     def __contains__(self, g):
         return g in self.elements

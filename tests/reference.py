@@ -538,6 +538,9 @@ class KnContext:
         a, c, _ = self.ml.compose(self.pi(g1), self.pi(g2))
         return (a, c, (g1[2] + g2[2]) % self.N)
 
+    def right_products(self, elements):
+        return lambda y: [self.compose(h, y) for h in elements]
+
     def inverse(self, g):
         a, c, _ = self.ml.inverse(self.pi(g))
         return (a, c, -g[2] % self.N)

@@ -275,7 +275,7 @@ def test_criterion_6_triple_roundtrip():
         ]
         for _ in range(7 if q == 2 else 6):
             gens = [rng.choice(els), rng.choice(els)]
-            samples.append(closure(gens, kn.compose, kn.identity))
+            samples.append(closure(kn, gens))
         for sub in samples:
             spec = triple_of(kn, sub)
             rebuilt = group_from_triple(kn, spec)

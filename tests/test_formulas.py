@@ -302,6 +302,8 @@ def test_sl2_two_rejected_variant_disagrees():
     _, adopted = fm.sl2_subfield_quotient(q, 1, w)
     rejected = sl2_two_orbit_count_rejected(q, w)
     assert adopted == info["witness"]["adopted_n"]
+    # the written-out polynomial whose middle orbit term the entry quotes
+    assert DIRECT_FORMS["sl2_subfield_quotient"](q, 1, w)[1] == adopted
     assert rejected == info["witness"]["rejected_n"]
     assert adopted != rejected
     # The rejected count is impossible: summing fixed points, the identity
@@ -411,6 +413,7 @@ def test_unitary_pm_quotient_values_and_erratum():
     _, adopted = fm.unitary_pm_quotient(q, k, w)
     rejected = unitary_pm_orbit_count_rejected(q, k, w)
     assert adopted == info["witness"]["adopted_n"]
+    assert DIRECT_FORMS["unitary_pm_quotient"](q, k, w)[1] == adopted
     assert rejected == info["witness"]["rejected_n"]
     # The group contains the full special subgroup, which already acts
     # transitively on both short orbits, so more than two orbits is absurd.
@@ -433,6 +436,7 @@ def test_sl2_five_erratum():
     _, adopted = fm.sl2_five_quotient_char3(q, w)
     rejected = sl2_five_orbit_count_rejected(q, w)
     assert adopted == info["witness"]["adopted_n"]
+    assert DIRECT_FORMS["sl2_five_quotient_char3"](q, w)[1] == adopted
     assert rejected == info["witness"]["rejected_n"]
     # The rejected long-orbit term forgets the order of the special linear
     # factor, so it overcounts whenever the group is nontrivial.

@@ -12,7 +12,15 @@ from gk2genus.engine import _burnside_orbits
 from gk2genus.formulas import prime_power
 from gk2genus.gf import make_field, roots_of_unity
 from gk2genus.golden import GOLDEN_ROWS
-from gk2genus.mlgroup import DetPreimage, MlContext, Subgroup, closure, ml_context
+from gk2genus.mlgroup import (
+    DetPreimage,
+    MlContext,
+    Subgroup,
+    _cycle_minima,
+    _flat_offsets,
+    closure,
+    ml_context,
+)
 from reference import (
     apply,
     classify_block,
@@ -160,7 +168,7 @@ def test_standard_subgroups_match_their_definitions():
 def test_s_ell_generators_generate():
     for q in (2, 3, 4, 5, 8, 9):
         ctx = ml_context(q)
-        cl = closure(ctx.s_ell_gens, ctx.compose, ctx.identity)
+        cl = closure(ctx, ctx.s_ell_gens)
         assert cl == set(ctx.s_ell)
 
 
@@ -176,7 +184,7 @@ def test_standard_sl2_generators_of_each_proper_subfield(q):
     ctx = ml_context(q)
     for k in range(1, ctx.h):
         if ctx.h % k == 0:
-            els = closure(ctx.sl2_gens(k), ctx.compose, ctx.identity)
+            els = closure(ctx, ctx.sl2_gens(k))
             assert len(els) == ctx.p**k * (ctx.p ** (2 * k) - 1)
             assert all(g[2] == 1 for g in els)
 
@@ -306,14 +314,70 @@ def _bfs_orbit_counts(ctx, gens):
 
 
 def test_perm_of_matches_apply():
+    # every q the context supports; q = 32 has codes above 256.  An element
+    # with c = 0 sends the chord point (x : 1 : 0) to (a x : t a^q : 0), so
+    # t != 1 puts a factor other than 1 into the chord rescale
     rng = random.Random(17)
-    for q in (4, 9):
+    for q in PRIME_POWERS_TO_32:
         ctx = ml_context(q)
         index = {pt: i for i, pt in enumerate(ctx.pts.points)}
-        for _ in range(5):
-            g = random_element(ctx, rng)
+        diagonal = [(rng.choice(ctx.mu), 0, rng.choice(ctx.mu[1:])) for _ in range(2)]
+        for g in [random_element(ctx, rng) for _ in range(2)] + diagonal:
             expected = [index[apply(ctx, g, pt)] for pt in ctx.pts.points]
-            assert ctx.perm_of(g).tolist() == expected
+            assert ctx.perm_of(g).tolist() == expected, (q, g)
+
+
+def test_flat_offsets_are_intp_whatever_the_scalar():
+    # at q = 25 a code times card passes 2^16.  A uint16 array times a card
+    # scalar stays uint16, and wraps, under numpy 1.x value-based casting
+    # (any integer scalar) and under NEP 50 (a Python int); the offsets that
+    # _image_coords gathers by must come out intp under either rule
+    ctx = ml_context(25)
+    codes = ctx.MUL[ctx.card - 1]
+    expected = [int(x) * ctx.card for x in codes]
+    assert (codes * ctx.card).tolist() != expected  # the product that wraps
+    for card in (ctx.card, np.intp(ctx.card), np.uint16(ctx.card)):
+        offsets = _flat_offsets(codes, card)
+        assert offsets.dtype == np.intp
+        assert offsets.tolist() == expected
+
+
+def _cycle_walk_minima(perm):
+    """Each index's smallest index on its cycle, by walking every cycle once."""
+    out = [None] * len(perm)
+    for start in range(len(perm)):
+        if out[start] is None:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            least = min(cycle)
+            for i in cycle:
+                out[i] = least
+    return out
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_cycle_minima_match_a_cycle_walk(q):
+    # the torus generator has the longest cycles, q^2 - 1, and the chord
+    # swap the shortest; the labels are uint16 at every q
+    ctx = ml_context(q)
+    for g in (ctx.torus_gen, ctx.swap):
+        perm = ctx.perm_of(g)
+        heads = _cycle_minima(perm)
+        assert heads.dtype == np.uint16
+        assert heads.tolist() == _cycle_walk_minima(perm.tolist())
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32))
+def test_right_products_match_compose(q):
+    ctx = ml_context(q)
+    rng = random.Random(q)
+    diagonal = [(a, 0, t) for a in ctx.mu[:3] for t in ctx.mu[:3]]  # c = 0
+    for size in (0, 1, 5, 40):
+        H = [random_element(ctx, rng) for _ in range(size)] + diagonal[: size // 5]
+        times = ctx.right_products(H)
+        for y in [ctx.identity, random_element(ctx, rng)] + diagonal:
+            assert times(y) == [ctx.compose(h, y) for h in H], (H, y)
 
 
 def test_orbit_counts_match_bfs_on_catalog_instances():
@@ -517,7 +581,7 @@ def test_power_is_repeated_compose_at_one_product_per_bit(q):
 def test_closure_guard():
     ctx = ml_context(4)
     with pytest.raises(ValueError):
-        closure(ctx.s_ell_gens, ctx.compose, ctx.identity, maxsize=10)
+        closure(ctx, ctx.s_ell_gens, maxsize=10)
 
 
 def _bfs_closure(gens, mul, identity):
@@ -537,7 +601,7 @@ def _bfs_closure(gens, mul, identity):
 
 
 def _closure_cases():
-    """(name, compose, identity, generator lists) over M_ell and the tower group.
+    """(name, context, generator lists) over M_ell and the tower group.
 
     Each context gets seeded lists of 1-4 generators, among them a duplicate,
     the identity, and a generator already inside the span of the ones before.
@@ -562,28 +626,28 @@ def _closure_cases():
             [g1, ctx.compose(g1, g1), g2, g1],
         ]
         lists += [[pick() for _ in range(rng.randint(1, 4))] for _ in range(4)]
-        cases.append((name, ctx.compose, ctx.identity, lists))
+        cases.append((name, ctx, lists))
     return cases
 
 
 def test_closure_matches_the_breadth_first_reference():
     ctx = ml_context(4)
-    assert closure([], ctx.compose, ctx.identity) == {ctx.identity}
-    for name, mul, identity, lists in _closure_cases():
+    assert closure(ctx, []) == {ctx.identity}
+    for name, ctx, lists in _closure_cases():
         for gens in lists:
-            expected = _bfs_closure(gens, mul, identity)
-            assert closure(gens, mul, identity) == expected, (name, gens)
+            expected = _bfs_closure(gens, ctx.compose, ctx.identity)
+            assert closure(ctx, gens) == expected, (name, gens)
 
 
 def test_closure_guard_raises_exactly_past_maxsize():
     # the bound is exact, so catalog.instantiate's bound stops a wrong recipe
     # early instead of closing a larger group
-    for name, mul, identity, lists in _closure_cases():
+    for name, ctx, lists in _closure_cases():
         for gens in lists:
-            order = len(_bfs_closure(gens, mul, identity))
-            assert len(closure(gens, mul, identity, maxsize=order)) == order
+            order = len(_bfs_closure(gens, ctx.compose, ctx.identity))
+            assert len(closure(ctx, gens, maxsize=order)) == order
             with pytest.raises(ValueError, match="closure exceeded %d" % (order - 1)):
-                closure(gens, mul, identity, maxsize=order - 1)
+                closure(ctx, gens, maxsize=order - 1)
 
 
 def test_subgroup_det_preimage():
@@ -683,7 +747,7 @@ def test_kn_context_builds_at_every_golden_row(q, n):
     assert all(kn.pi(g) == ml.identity for g in cm)
     if (q, n) in ((4, 5), (5, 3)):
         for _ in range(3):
-            sub = closure([random_element(), random_element()], kn.compose, kn.identity)
+            sub = closure(kn, [random_element(), random_element()])
             spec = triple_of(kn, sub)
             assert group_from_triple(kn, spec) == sub
 
@@ -711,7 +775,7 @@ def test_triple_roundtrip_full_and_random():
     rng = random.Random(61)
     for _ in range(12):
         gens = [rng.choice(els), rng.choice(els)]
-        sub = closure(gens, kn.compose, kn.identity)
+        sub = closure(kn, gens)
         spec = triple_of(kn, sub)
         assert group_from_triple(kn, spec) == sub
 
@@ -722,6 +786,6 @@ def test_triple_character_identity():
     els = list(kn.iter_elements())
     rng = random.Random(67)
     for _ in range(15):
-        sub = closure([rng.choice(els)], kn.compose, kn.identity)
+        sub = closure(kn, [rng.choice(els)])
         spec = triple_of(kn, sub)
         assert spec.r == spec.s * math.gcd(spec.r, kn.m)
