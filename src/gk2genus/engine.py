@@ -103,9 +103,6 @@ class GenusRecord:
     provenance: str
     completeness: str
 
-    def witness_key(self):
-        return witness_key(self.family, self.params, self.t)
-
     def witness_label(self):
         return "%s%d]" % (_label_prefix(self.family, self.params), self.t)
 

@@ -7,8 +7,11 @@ coefficient-lex order, coefficients compared low-degree first.  Fields
 have at most 2^15 elements, and every field is tabled at construction:
 exp/log arrays over the canonical generator make mul/inv/pow/order O(1)
 lookups, and a Zech-logarithm array (log(1 + g^i) for each i) makes
-add/neg lookups too at odd p; at p = 2 addition is XOR.  Contexts are
-singletons per (p, k), created via make_field.
+add/neg lookups too at odd p; at p = 2 addition is XOR.  A field of at
+most 1024 elements also gives its dense product and sum tables,
+flat_tables: two flat 2-byte array("H") tables, each allocated once and
+filled row by row in place, the sums read from the product rows by the
+same Zech rule.  Contexts are singletons per (p, k), created via make_field.
 
 numpy is loaded on first use, not at import: formula mode, catalog listings
 and argument rejections never touch a numpy table, so they never load it.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import sys
+from array import array
 from functools import lru_cache
 from math import gcd
 
@@ -238,33 +242,32 @@ class FieldCtx:
         """(exp, log) as int64 arrays."""
         return np.array(self._exp, dtype=np.int64), np.array(self._log, dtype=np.int64)
 
-    def np_mul_table(self):
-        """card x card uint16 table of products, by code; tabled codes are below 1024."""
-        if self.card > _NP_TABLE_LIMIT:
-            raise ValueError("field too large for dense tables")
-        exp, log = self._np_logs()
-        nz = log[1:]
-        tab = np.zeros((self.card, self.card), dtype=np.uint16)
-        tab[1:, 1:] = exp[(nz[:, None] + nz[None, :]) % self._n]
-        return tab
+    def flat_tables(self):
+        """(mul, add): the card x card product and sum tables, by code, as flat
+        array("H") tables indexed a * card + b; tabled codes are below 1024.
 
-    def np_add_table(self):
-        """card x card uint16 table of sums, by code; tabled codes are below 1024."""
-        if self.card > _NP_TABLE_LIMIT:
+        Each buffer is allocated once and filled row by row through a numpy
+        view, so no temporary outgrows a row.  a*b = exp[log a + log b], with
+        exp doubled so the sum needs no % n, and a + b = a*(1 + b/a) is read
+        from the finished product rows: adding 1 changes only the constant
+        digit of a code.
+        """
+        card = self.card
+        if card > _NP_TABLE_LIMIT:
             raise ValueError("field too large for dense tables")
-        codes = np.arange(self.card, dtype=np.uint16)
-        if self.p == 2:
-            return codes[:, None] ^ codes[None, :]
-        n = self._n
+        mul, add = array("H", [0]) * card**2, array("H", [0]) * card**2
+        M = np.frombuffer(mul, dtype=np.uint16).reshape(card, card)
+        A = np.frombuffer(add, dtype=np.uint16).reshape(card, card)
         exp, log = self._np_logs()
-        zech = np.array([-1 if z is None else z for z in self._zech], dtype=np.int64)
-        la = log[1:, None]
-        z = zech[(log[None, 1:] - la) % n]
-        tab = np.empty((self.card, self.card), dtype=np.uint16)
-        tab[0, :] = codes
-        tab[:, 0] = codes
-        tab[1:, 1:] = np.where(z < 0, 0, exp[(la + z) % n])
-        return tab
+        exp, nz = np.concatenate((exp, exp)), log[1:]
+        for a in range(1, card):
+            M[a, 1:] = exp.take(log[a] + nz)
+        codes = np.arange(card)
+        one_plus = codes - codes % self.p + (codes + 1) % self.p
+        A[0] = codes
+        for a in range(1, card):
+            A[a] = M[a].take(one_plus.take(M[self.inv(a)]))
+        return mul, add
 
     def np_pow_vec(self, e):
         """card int32 vector of e-th powers, by code; 0 maps to 0 when e < 0."""

@@ -13,39 +13,37 @@ the standard subgroup inventory (center Z, commutator S_ell with its standard
 SL(2, q) generators, the two-point-stabilizer torus generator and the chord
 swap involution), the element type table, orbit counting on curve points, the
 element census and the tame quotient genus; the tables, the frame, the
-inventory and the type table are complete at construction.  The GF(q^2)
-product and sum tables are built once, as flat array("H") tables mul_flat and
-add_flat indexed a * card + b: compose, inverse and classify look up each
-field product and sum there, with no FieldCtx call, and MUL and ADD are
-read-only card x card uint16 numpy views of the same two buffers for the
-vectorized point work, so the context keeps one copy of each.  closure builds a
-subgroup by Dimino's right cosets; right_products reads, once per element of
-the subgroup closed so far, the five table offsets of compose that depend on
-the left factor, so each coset product is five flat reads.  The point work,
-perm_of, the cycle labels and the orbit hooking, gathers with np.take from
-1-D uint16 views; the index arrays it reuses on every call, the point
-coordinates X, Y and Z and the inverse table INV, are intp, built once per q,
-so numpy does not convert them per gather.  An element's type
-is its fixed-point geometry, a function of the eigenvalues of the chord block
-B = [[a, t*c^q], [c, t*a^q]] and of whether B is scalar; it is tabled once per
-(trace, det, scalar) key, from the eigenvalue rule in MlContext.classify, and
-looked up after that.  A census counts nonidentity elements by type, one
-classify call each; a Subgroup keeps its own, and its tame genus and Burnside
-orbit average come from formulas.quotient_data.  Orbit counting memoizes each
-distinct generator's cycle labels on the context, one read-only 2-byte array
-per generator, so a generator shared by many subgroups is mapped to its point
-permutation once per q; a count starts from a copy of the first generator's
-labels and hooks in each later generator's edges only while they join two
-different roots.  The chord frame is a basis change P taking the basis to R0
-and R1 and the Hermitian form to J = [[0, delta], [-delta, 0]]; frame_element
-conjugates a matrix preserving J into the chord element it stands for, and the
-inventory is built that way.
+inventory and the type table are complete at construction.  The GF(q^2) product
+and sum tables are FieldCtx.flat_tables, flat array("H") tables mul_flat and
+add_flat indexed a * card + b, kept as they were written, with no copy:
+compose, inverse and classify look up each field product and sum there, with no
+FieldCtx call, and MUL and ADD are read-only card x card uint16 numpy views of
+the same two buffers for the vectorized point work.  closure builds a subgroup
+by Dimino's right cosets; right_products reads, once per element of the
+subgroup closed so far, the five table offsets of compose that depend on the
+left factor, so each coset product is five flat reads.  The point work,
+perm_of, the cycle labels and the orbit hooking, gathers with np.take from 1-D
+uint16 views; the index arrays it reuses on every call, the point coordinates
+X, Y and Z and the inverse table INV, are intp, built once per q, so numpy does
+not convert them per gather.  An element's type is its fixed-point geometry, a
+function of the eigenvalues of the chord block B = [[a, t*c^q], [c, t*a^q]] and
+of whether B is scalar; it is tabled once per (trace, det, scalar) key, from
+the eigenvalue rule in MlContext.classify, and looked up after that.  A census
+counts nonidentity elements by type, one classify call each; a Subgroup keeps
+its own, and its tame genus and Burnside orbit average come from
+formulas.quotient_data.  Orbit counting memoizes each distinct generator's
+cycle labels on the context, one read-only 2-byte array per generator, so a
+generator shared by many subgroups is mapped to its point permutation once per
+q; a count starts from a copy of the first generator's labels and hooks in each
+later generator's edges only while they join two different roots.  The chord
+frame is a basis change P taking the basis to R0 and R1 and the Hermitian form
+to J = [[0, delta], [-delta, 0]]; frame_element conjugates a matrix preserving
+J into the chord element it stands for, and the inventory is built that way.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -172,11 +170,7 @@ class MlContext:
         self.q = q
         self.F = F = make_field(self.p, 2 * self.h)
         self.card = F.card
-        # the dense tables first: the curve points and their coordinate
-        # arrays are then built after the tables' card x card temporaries
-        # are freed, not on top of them
-        self.mul_flat = array("H", F.np_mul_table().tobytes())
-        self.add_flat = array("H", F.np_add_table().tobytes())
+        self.mul_flat, self.add_flat = F.flat_tables()
         self.MUL = _read_only_square(self.mul_flat, F.card)
         self.ADD = _read_only_square(self.add_flat, F.card)
         self.pts = hermitian_points(q)

@@ -340,7 +340,7 @@ def test_spectrum_witness_labels_unique_per_genus():
         assert wit.genus == genus
         assert wit is min(
             (r for r in rep.records if r.genus == genus),
-            key=lambda r: r.witness_key(),
+            key=lambda r: engine.witness_key(r.family, r.params, r.t),
         )
 
 
@@ -348,7 +348,8 @@ def _least_keyed(records):
     least = {}
     for rec in records:
         cur = least.get(rec.genus)
-        if cur is None or rec.witness_key() < cur.witness_key():
+        key = engine.witness_key(rec.family, rec.params, rec.t)
+        if cur is None or key < engine.witness_key(cur.family, cur.params, cur.t):
             least[rec.genus] = rec
     return least
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy
 import pytest
@@ -201,14 +202,44 @@ def _digitwise(F, a, b, sign=1):
 def test_tabled_addition_matches_coefficients_on_every_pair(p, k):
     F = make_field(p, k)
     codes = range(F.card)
-    table = F.np_add_table()
-    assert table.shape == (F.card, F.card) and table.dtype == numpy.uint16
+    _, table = F.flat_tables()
+    assert len(table) == F.card**2 and table.typecode == "H"
     for a in codes:
         sums = [_digitwise(F, a, b) for b in codes]
         assert [F.add(a, b) for b in codes] == sums
-        assert table[a].tolist() == sums
+        assert table[a * F.card : (a + 1) * F.card].tolist() == sums
         assert [F.sub(a, b) for b in codes] == [_digitwise(F, a, b, -1) for b in codes]
         assert F.neg(a) == _digitwise(F, 0, a, -1)
+
+
+def test_flat_sums_are_xor_in_characteristic_two():
+    F = make_field(2, 10)
+    codes = numpy.arange(F.card, dtype=numpy.uint16)
+    add = numpy.frombuffer(F.flat_tables()[1], dtype=numpy.uint16).reshape(F.card, F.card)
+    for a in range(F.card):
+        assert numpy.array_equal(add[a], codes ^ a), a
+
+
+def test_flat_tables_refuse_a_field_past_the_dense_bound():
+    for p, k in ((2, 11), (3, 7), (5, 5)):
+        with pytest.raises(ValueError, match="field too large for dense tables"):
+            make_field(p, k).flat_tables()
+
+
+@pytest.mark.parametrize("p,k", [(5, 4), (3, 6), (2, 10)])
+def test_flat_tables_are_built_in_their_final_buffers(p, k):
+    # no temporary outgrows a row; card x card int64 index arrays and a
+    # numpy -> bytes -> array copy of each table peak at 4.5-7.3x
+    F = make_field(p, k)
+    tracemalloc.start()
+    try:
+        mul, add = F.flat_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = mul.itemsize * len(mul) + add.itemsize * len(add)
+    assert table_bytes == 4 * F.card**2
+    assert peak <= 1.1 * table_bytes, peak / table_bytes
 
 
 @pytest.mark.parametrize("p,k", [(2, 12), (5, 6)])
@@ -241,10 +272,10 @@ def test_prime_field_tables():
 def test_dense_tables_match_scalar_ops(p, k):
     F = make_field(p, k)
     codes = range(F.card)
-    mul = F.np_mul_table()
-    assert mul.shape == (F.card, F.card) and mul.dtype == numpy.uint16
+    mul, _ = F.flat_tables()
+    assert len(mul) == F.card**2 and mul.typecode == "H"
     for a in codes:
-        assert mul[a].tolist() == [F.mul(a, b) for b in codes]
+        assert mul[a * F.card : (a + 1) * F.card].tolist() == [F.mul(a, b) for b in codes]
     for e in (-1, 0, 2, 5):
         assert F.np_pow_vec(e).tolist() == [F.pow(c, e) if c or e >= 0 else 0 for c in codes]
 

@@ -1,10 +1,12 @@
 """The package holds product code only: every definition in it has a caller.
 
-A function, class or method defined in src/gk2genus must be referenced by
-name somewhere else in src/gk2genus, or in perfbench/*.py, whose layer
-trace also names attributes in strings.  Test-only references belong in
-tests/reference.py.  Dunder methods and cli.main, the console entry point,
-are exempt.
+A function or class defined in src/gk2genus must be referenced by name
+somewhere else in src/gk2genus, or in perfbench/*.py, whose layer trace
+also names attributes in strings.  A method counts as used only through an
+attribute access, or through a string in perfbench/*.py: a bare name or an
+import of the same name reaches a module function, not the method.
+Test-only references belong in tests/reference.py.  Dunder methods and
+cli.main, the console entry point, are exempt.
 
 Likewise every top-level definition in tests/reference.py must be named in
 a tests/test_*.py file, or in a reference definition that is.
@@ -27,23 +29,27 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the methods of those classes."""
+    """(definition, is_method): top-level functions and classes, and their methods."""
     for node in tree.body:
         if isinstance(node, DEFS):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from (sub for sub in node.body if isinstance(sub, DEFS))
+                yield from ((sub, True) for sub in node.body if isinstance(sub, DEFS))
 
 
-def _names(nodes, strings):
-    """Names used by the given nodes; identifiers in string constants when strings."""
+def _names(nodes, strings, methods=False):
+    """Names used by the given nodes; identifiers in string constants when strings.
+
+    With methods, only attribute accesses and strings count, the uses that
+    can reach a method.
+    """
     out = Counter()
     for node in nodes:
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.Name) and not methods:
+            out[node.id] += 1
+        elif isinstance(node, ast.alias) and not methods:
             out[node.name.rsplit(".", 1)[-1]] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.update(re.findall(r"[A-Za-z_]\w*", node.value))
@@ -52,15 +58,18 @@ def _names(nodes, strings):
 
 def unreferenced():
     trees = {path: ast.parse(path.read_text()) for path in SRC + BENCH}
-    uses = {path: _names(ast.walk(tree), strings=path in BENCH) for path, tree in trees.items()}
+    uses = {
+        methods: [_names(ast.walk(tree), path in BENCH, methods) for path, tree in trees.items()]
+        for methods in (False, True)
+    }
     for path in SRC:
-        for node in _definitions(trees[path]):
+        for node, method in _definitions(trees[path]):
             name = node.name
             if re.fullmatch(r"__\w+__", name) or (path.name, name) in EXEMPT:
                 continue
             # uses inside the definition itself do not count
-            total = sum(use[name] for use in uses.values())
-            if total == _names(ast.walk(node), strings=False)[name]:
+            total = sum(use[name] for use in uses[method])
+            if total == _names(ast.walk(node), False, method)[name]:
                 yield "%s:%d %s" % (path.name, node.lineno, name)
 
 
